@@ -28,8 +28,9 @@ import pickle
 import sys
 import time
 
-from repro.experiments.montecarlo import run_monte_carlo
+from repro.experiments.montecarlo import compile_monte_carlo
 from repro.parallel import default_chunk_size
+from repro.studies import run_study
 
 N_SEEDS = int(os.environ.get("REPRO_BENCH_MC_SEEDS", "32"))
 HOURS = float(os.environ.get("REPRO_BENCH_MC_HOURS", "0.02"))
@@ -54,15 +55,17 @@ def main(argv) -> int:
     print(f"scaling study: {N_SEEDS} seeds x {HOURS} h, "
           f"{WORKERS} workers on {cpus} usable cpu(s)")
 
+    plan = compile_monte_carlo(seeds, hours=HOURS)
+
     t0 = time.perf_counter()
-    serial = run_monte_carlo(seeds=seeds, hours=HOURS, executor="serial")
+    serial = plan.collect(run_study(plan.study, executor="serial"))
     serial_s = time.perf_counter() - t0
     print(f"serial:   {serial_s:7.2f} s")
 
     t0 = time.perf_counter()
-    parallel = run_monte_carlo(
-        seeds=seeds, hours=HOURS, executor="process", max_workers=WORKERS
-    )
+    parallel = plan.collect(run_study(
+        plan.study, executor="process", max_workers=WORKERS
+    ))
     parallel_s = time.perf_counter() - t0
     print(f"parallel: {parallel_s:7.2f} s  ({WORKERS} workers)")
 

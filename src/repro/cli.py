@@ -47,6 +47,7 @@ from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.security.diversity import shared_vulnerabilities, vulnerabilities_of
 from repro.security.kernels import VULNERABILITY_DB
 from repro.sim.timebase import HOURS, MINUTES, SECONDS
+from repro.studies.specs import SWEEP_AXES
 
 
 def _emit(args: argparse.Namespace, text: str, payload: Dict[str, Any]) -> None:
@@ -475,59 +476,87 @@ def _executor_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
     return kwargs
 
 
-def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
-    """The ``sweep envelope`` study: margin vs. the closed-form prediction.
+def _run_spec(args: argparse.Namespace, spec: Dict[str, Any], registry):
+    """Compile a spec and schedule it as ``study run`` does (no ledger).
 
-    Unlike the other studies this one varies the *scenario* itself (one
-    clean arm per registry shape, graded against its predicted envelope)
-    plus an adversarial arm replaying the PR-6 colluder campaign, so it
-    bypasses the generic single-axis runner table.
+    Returns the plan, the finished run, and the executor kwargs the run
+    used (``executor``/``max_workers``/``cache``).
     """
-    from repro.analysis.report import render_envelope
-    from repro.experiments.sweeps import envelope_verdict, sweep_envelope
-    from repro.sim.timebase import SECONDS
+    from repro.studies import run_study
+    from repro.studies.specs import plan_from_spec
 
-    registry = _metrics_registry(args)
+    plan = plan_from_spec(spec)
+    exec_kwargs = _executor_kwargs(args)
+    run = run_study(plan.study, metrics=registry, **exec_kwargs)
+    return plan, run, exec_kwargs
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """``sweep <axis>`` / ``sweep envelope``: flags → spec → run_study."""
+    from repro.studies.specs import duration_ns
+
     if args.sim_seconds is not None and args.duration is not None:
         print("use --sim-seconds or --duration, not both", file=sys.stderr)
         return 2
+    if args.study == "envelope":
+        spec: Dict[str, Any] = {"kind": "envelope", "seed": args.seed}
+        # --fidelity full (the flag's global default) keeps the study's
+        # auto tiering (adaptive at >= 64 devices, full below);
+        # --fidelity adaptive forces adaptive everywhere.
+        if args.fidelity == "adaptive":
+            spec["fidelity"] = "adaptive"
+        if args.scenario:
+            # A single named arm (the CI smoke path): no adversarial arm.
+            spec["scenarios"] = [args.scenario]
+            spec["attack_check"] = False
+    else:
+        spec = {"kind": "sweep", "study": args.study, "seed": args.seed,
+                "scenario": args.scenario, "fidelity": args.fidelity}
     duration_s = (args.sim_seconds if args.sim_seconds is not None
                   else args.duration)
-    duration = round((duration_s if duration_s is not None else 120.0)
-                     * SECONDS)
-    kwargs: Dict[str, Any] = {}
-    exec_kwargs = _executor_kwargs(args)
-    if "cache" in exec_kwargs:
-        kwargs["cache"] = exec_kwargs["cache"]
-    # --fidelity full (the flag's global default) keeps the study's auto
-    # tiering (adaptive at >= 64 devices, full below); --fidelity adaptive
-    # forces adaptive everywhere.
-    if args.fidelity == "adaptive":
-        kwargs["fidelity"] = "adaptive"
-    if getattr(args, "scenario", None):
-        # A single named arm (the CI smoke path): no adversarial arm.
-        kwargs["scenarios"] = (args.scenario,)
-        kwargs["attack_check"] = False
+    if duration_s is not None:
+        spec["duration_s"] = duration_s
+    duration = duration_ns(spec)
+    registry = _metrics_registry(args)
     wall_start = time.perf_counter()
-    rows = sweep_envelope(
-        seed=args.seed, duration=duration, metrics=registry, **kwargs
+    plan, run, exec_kwargs = _run_spec(args, spec, registry)
+    rows = plan.collect(run)
+    cache = exec_kwargs.get("cache")
+    if args.study == "envelope":
+        return _report_envelope(args, rows, registry, duration, wall_start,
+                                cache)
+    return _report_sweep(args, rows, registry, duration, wall_start, cache)
+
+
+def _sweep_manifest(args, registry, duration, wall_start, **fields):
+    """The RunManifest a ``sweep`` command writes with ``--metrics``."""
+    from repro.metrics import RunManifest
+
+    events = registry.counters.get("experiment.events_dispatched")
+    return RunManifest(
+        experiment=f"sweep:{args.study}",
+        seeds=[args.seed],
+        sim_duration_ns=duration,
+        wall_time_s=time.perf_counter() - wall_start,
+        events_dispatched=events.value if events is not None else None,
+        **fields,
     )
+
+
+def _report_envelope(args, rows, registry, duration, wall_start,
+                     cache) -> int:
+    from repro.analysis.report import render_envelope
+    from repro.experiments.sweeps import envelope_verdict
+
     verdict = envelope_verdict(rows)
     if registry is not None:
-        from repro.metrics import RunManifest
         from repro.parallel import config_fingerprint
 
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
-            experiment="sweep:envelope",
+        _write_metrics(args, registry, _sweep_manifest(
+            args, registry, duration, wall_start,
             config_fingerprint=config_fingerprint(
-                "sweep-cli", "envelope", args.seed, duration,
-                getattr(args, "scenario", None),
+                "sweep-cli", "envelope", args.seed, duration, args.scenario,
             ),
-            seeds=[args.seed],
-            sim_duration_ns=duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            events_dispatched=events.value if events is not None else None,
             verdict=verdict,
             verdict_detail={
                 "rows": {
@@ -542,10 +571,7 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
                     (r.margin_ns for r in rows if not r.attack),
                     default=None,
                 ),
-                "cache_disabled": bool(
-                    kwargs.get("cache") is not None
-                    and kwargs["cache"].disabled
-                ),
+                "cache_disabled": bool(cache is not None and cache.disabled),
             },
         ))
     payload = {
@@ -569,58 +595,14 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
     return 0 if verdict != "FAIL" else 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.study == "envelope":
-        return _cmd_sweep_envelope(args)
-    from repro.experiments.sweeps import (
-        breaking_point,
-        render_rows,
-        sweep_aggregation,
-        sweep_attack_budget,
-        sweep_domain_count,
-        sweep_fault_budget,
-        sweep_hop_count,
-        sweep_loss_rate,
-        sweep_sync_interval,
-        sweep_topology,
-        sweep_validity_threshold,
-    )
+def _report_sweep(args, rows, registry, duration, wall_start, cache) -> int:
+    from repro.experiments.sweeps import breaking_point, render_rows
     from repro.monitoring import worst_status
-    from repro.sim.timebase import SECONDS
 
-    runners = {
-        "domains": sweep_domain_count,
-        "interval": sweep_sync_interval,
-        "aggregation": sweep_aggregation,
-        "threshold": sweep_validity_threshold,
-        "topology": sweep_topology,
-        "hopcount": sweep_hop_count,
-        "faultbudget": sweep_fault_budget,
-        "lossrate": sweep_loss_rate,
-        "attackbudget": sweep_attack_budget,
-    }
-    spec = _scenario_of(args)
-    registry = _metrics_registry(args)
-    if args.sim_seconds is not None and args.duration is not None:
-        print("use --sim-seconds or --duration, not both", file=sys.stderr)
-        return 2
-    duration_s = (args.sim_seconds if args.sim_seconds is not None
-                  else args.duration)
-    if duration_s is None:
-        # The attackbudget FAIL needs minutes of differential-bias
-        # integration (k=2 on the paper mesh breaks the bound at
-        # t ≈ 800 s); the other canned studies measure steady state.
-        duration_s = 900.0 if args.study == "attackbudget" else 120.0
-    duration = round(duration_s * SECONDS)
-    wall_start = time.perf_counter()
-    exec_kwargs = _executor_kwargs(args)
-    rows = runners[args.study](
-        seed=args.seed, duration=duration, scenario=spec,
-        metrics=registry, fidelity=args.fidelity, **exec_kwargs,
-    )
+    scenario = _scenario_of(args)
     budget = None
     if args.study == "attackbudget":
-        design = _design_spec(spec)
+        design = _design_spec(scenario)
         budget = dict(
             breaking_point(rows),
             design_f=design.f,
@@ -628,45 +610,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             floor_m=3 * design.f + 1,
         )
     if registry is not None:
-        from repro.metrics import RunManifest
         from repro.parallel import config_fingerprint
 
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
-            experiment=f"sweep:{args.study}",
+        extra: Dict[str, Any] = {"points": len(rows)}
+        if budget is not None:
+            extra.update(
+                f_actual=budget["f_actual"],
+                first_fail_colluders=budget["first_fail"],
+                design_f=budget["design_f"],
+                domains=budget["domains"],
+                floor_m=budget["floor_m"],
+            )
+        extra["cache_disabled"] = bool(cache is not None and cache.disabled)
+        if args.fidelity != "full":
+            extra["fidelity"] = args.fidelity
+        _write_metrics(args, registry, _sweep_manifest(
+            args, registry, duration, wall_start,
             config_fingerprint=config_fingerprint(
                 "sweep-cli", args.study, args.seed, duration,
-                spec.fingerprint() if spec else None,
+                scenario.fingerprint() if scenario else None,
             ),
-            seeds=[args.seed],
-            sim_duration_ns=duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            events_dispatched=events.value if events is not None else None,
-            scenario=spec.name if spec else None,
-            scenario_fingerprint=spec.fingerprint() if spec else None,
+            scenario=scenario.name if scenario else None,
+            scenario_fingerprint=scenario.fingerprint() if scenario else None,
             verdict=worst_status(r.verdict for r in rows),
             verdict_detail={
                 "rows": {f"{r.parameter}={r.value}": r.verdict for r in rows},
             },
-            extra=dict(
-                (
-                    {"points": len(rows)} if budget is None
-                    else dict(
-                        points=len(rows),
-                        f_actual=budget["f_actual"],
-                        first_fail_colluders=budget["first_fail"],
-                        design_f=budget["design_f"],
-                        domains=budget["domains"],
-                        floor_m=budget["floor_m"],
-                    )
-                ),
-                cache_disabled=bool(
-                    exec_kwargs.get("cache") is not None
-                    and exec_kwargs["cache"].disabled
-                ),
-                **({"fidelity": args.fidelity}
-                   if args.fidelity != "full" else {}),
-            ),
+            extra=extra,
         ))
     payload = {
         "study": args.study,
@@ -907,8 +877,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         _emit(
             args,
             f"verified {summary['scanned']} entries at {args.cache_dir!r}: "
-            f"{summary['ok']} ok, {summary['legacy']} legacy (no checksum), "
-            f"{summary['quarantined']} quarantined",
+            f"{summary['ok']} ok, {summary['quarantined']} quarantined",
             dict(summary, root=args.cache_dir),
         )
         return 1 if summary["quarantined"] else 0
@@ -958,19 +927,15 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    from repro.experiments.fault_injection import (
-        FaultInjectionExperimentConfig as _FIConfig,
-    )
-    from repro.experiments.montecarlo import run_monte_carlo
-
-    spec = _scenario_of(args)
+    """``montecarlo``: flags → spec → run_study."""
     seeds = list(range(args.base_seed, args.base_seed + args.runs))
+    spec = {"kind": "montecarlo", "seeds": seeds, "hours": args.hours,
+            "scenario": args.scenario}
     registry = _metrics_registry(args)
-    study = run_monte_carlo(seeds=seeds, hours=args.hours,
-                            base_config=(
-                                _FIConfig(scenario=spec) if spec else None
-                            ),
-                            metrics=registry, **_executor_kwargs(args))
+    plan, run, exec_kwargs = _run_spec(args, spec, registry)
+    study = plan.collect(run, metrics=registry,
+                         executor=exec_kwargs["executor"],
+                         cache=exec_kwargs.get("cache"))
     _write_metrics(args, registry, study.manifest)
     payload = {
         "seeds": seeds,
@@ -1234,10 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "study with a partial verdict")
 
     p = sub.add_parser("sweep", help="design-space parameter sweeps")
-    p.add_argument("study", choices=["domains", "interval", "aggregation",
-                                     "threshold", "topology", "hopcount",
-                                     "faultbudget", "lossrate",
-                                     "attackbudget", "envelope"])
+    p.add_argument("study", choices=[*SWEEP_AXES, "envelope"])
     p.add_argument("--seed", type=int, default=9)
     p.add_argument("--duration", type=float, default=None,
                    help="seconds of simulated time per point (default: "

@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro._compat import SLOTTED
 
-
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class AggregationResult:
     """Outcome of one aggregation.
 

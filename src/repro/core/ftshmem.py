@@ -21,10 +21,9 @@ from typing import Dict, Optional
 
 from repro.gptp.instance import OffsetSample
 from repro.gptp.servo import PiServo
-from repro._compat import SLOTTED
 
 
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class StoredOffset:
     """One domain's slot in FTSHMEM.
 

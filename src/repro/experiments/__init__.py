@@ -38,12 +38,12 @@ from repro.experiments.chaos import (
 from repro.experiments.montecarlo import (
     MonteCarloResult,
     SeedOutcome,
-    run_monte_carlo,
+    compile_monte_carlo,
 )
 from repro.experiments.sweeps import (
     SweepRow,
+    compile_sweep,
     render_rows,
-    sweep,
     sweep_aggregation,
     sweep_domain_count,
     sweep_loss_rate,
@@ -83,13 +83,13 @@ __all__ = [
     "run_link_failure_experiment",
     "MonteCarloResult",
     "SeedOutcome",
-    "run_monte_carlo",
+    "compile_monte_carlo",
     "ChaosExperimentConfig",
     "ChaosResult",
     "run_chaos_experiment",
     "SweepRow",
     "render_rows",
-    "sweep",
+    "compile_sweep",
     "sweep_domain_count",
     "sweep_sync_interval",
     "sweep_aggregation",

@@ -339,7 +339,10 @@ def compile_chaos_study(
 
     One content-addressed job per :class:`ChaosExperimentConfig`; the
     collector returns :class:`ChaosArmRow`\\ s in ``configs`` order.
-    ``labels`` defaults to ``seed=N`` per arm.
+    ``labels`` defaults to ``seed=N`` per arm. For a single interactive
+    run with the full result document, call :func:`run_chaos_experiment`
+    directly — the study path trades the rich :class:`ChaosResult` for
+    compact, cacheable rows.
     """
     from repro.studies.core import Job, Study, StudyPlan
 
@@ -374,43 +377,3 @@ def compile_chaos_study(
         return run.collected()
 
     return StudyPlan(study=study, collect=collect)
-
-
-def run_chaos_study(
-    configs: Sequence[ChaosExperimentConfig],
-    labels: Optional[Sequence[str]] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    cache=None,
-    metrics=None,
-    ledger=None,
-    progress=None,
-    compile_only: bool = False,
-) -> List[ChaosArmRow]:
-    """Run a multi-arm chaos study through the resumable pipeline.
-
-    Each arm is one :func:`run_chaos_experiment` call, content-addressed
-    by its full config fingerprint, deduplicated against the job-result
-    store, and journaled to an optional ``ledger`` for resume. For a
-    single interactive run with the full result document, call
-    :func:`run_chaos_experiment` directly — this study path trades the
-    rich :class:`ChaosResult` for compact, cacheable rows.
-    """
-    from repro.studies.runner import run_study
-
-    plan = compile_chaos_study(configs, labels=labels)
-    if compile_only:
-        return plan
-    run = run_study(
-        plan.study,
-        executor=executor,
-        max_workers=max_workers,
-        task_timeout=task_timeout,
-        cache=cache,
-        metrics=metrics,
-        ledger=ledger,
-        progress=progress,
-        on_error="raise",
-    )
-    return plan.collect(run)

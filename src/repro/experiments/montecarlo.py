@@ -8,12 +8,15 @@ how stable are the masked-fault counts.
 
 The study uses independently forked RNG universes per seed, so arms are
 statistically independent and individually reproducible — which also makes
-them embarrassingly parallel. ``run_monte_carlo`` accepts an ``executor=``
-strategy: ``"serial"`` (default) runs in-process; ``"process"`` shards the
-seeds across a :class:`repro.parallel.WorkerPool` in chunks, with results
-collected in seed order so the parallel study is bit-identical to the
-serial one. An optional :class:`repro.parallel.ResultsCache` keyed by
-``(config-hash, seed)`` skips seeds whose configuration has not changed.
+them embarrassingly parallel. :func:`compile_monte_carlo` turns the seeds
+into a study; :func:`repro.studies.run_study` runs it serially or sharded
+across a :class:`repro.parallel.WorkerPool`, with results collected in
+seed order so the parallel study is bit-identical to the serial one, and
+an optional :class:`repro.parallel.ResultsCache` keyed by
+``(config-hash, seed)`` skips seeds whose configuration has not changed::
+
+    plan = compile_monte_carlo(seeds=[1, 2, 3], hours=0.1)
+    result = plan.collect(run_study(plan.study, executor="process"))
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.metrics.manifest import RunManifest
 from repro.monitoring.invariants import DEGRADED, FAIL, PASS, worst_status
 from repro.parallel import ResultsCache, config_fingerprint
 from repro.studies.core import Job, Study, StudyPlan
-from repro.studies.runner import StudyRun, run_study
+from repro.studies.runner import StudyRun
 
 
 @dataclass(frozen=True)
@@ -208,10 +211,14 @@ def compile_monte_carlo(
     """Compile the Monte-Carlo study: one content-addressed job per seed.
 
     This is the *submit* stage of the pipeline — the returned
-    :class:`StudyPlan` carries the frozen job set (keys identical to the
-    historical per-seed cache keys, so pre-pipeline caches stay valid) and
-    the collector that folds seed-ordered outcomes back into a
-    :class:`MonteCarloResult`.
+    :class:`StudyPlan` carries the frozen job set (one job per seed, keyed
+    by its ``(config-hash, seed)`` fingerprint) and the collector that
+    folds seed-ordered outcomes back into a :class:`MonteCarloResult`.
+
+    Call ``plan.collect(run, metrics=..., executor=..., cache=...)`` with
+    the registry, executor and cache the run used to attach a
+    :class:`RunManifest` to the result. Custom ``runner`` callables used
+    with a metrics registry must accept a ``metrics=`` keyword.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -270,66 +277,3 @@ def compile_monte_carlo(
         return MonteCarloResult(outcomes=outcomes, manifest=manifest)
 
     return StudyPlan(study=study, collect=collect)
-
-
-def run_monte_carlo(
-    seeds: Sequence[int],
-    base_config: Optional[FaultInjectionExperimentConfig] = None,
-    hours: float = 0.25,
-    runner: Callable[..., FaultInjectionResult] = run_fault_injection_experiment,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    cache: Optional[ResultsCache] = None,
-    metrics=None,
-    ledger=None,
-    progress=None,
-) -> MonteCarloResult:
-    """Run the (compressed) fault-injection experiment across seeds.
-
-    A thin compiler over the study pipeline: the seeds compile into a
-    frozen :class:`repro.studies.Study` (one job per seed, keyed by the
-    historical ``(config-hash, seed)`` fingerprint), the scheduler dedupes
-    against the job-result store and runs the rest, and outcomes collect
-    in seed order — byte-identical to the pre-pipeline runner.
-
-    Parameters
-    ----------
-    executor:
-        ``"serial"`` runs every arm in-process; ``"process"`` shards the
-        seeds across worker processes in chunks of
-        ``~n_seeds / (4 * workers)``. Both produce identical results.
-    max_workers:
-        Worker count for the process executor (default: CPU count).
-    task_timeout:
-        Per-chunk wall-clock budget in seconds; a wedged worker is killed
-        and its chunk retried once on a fresh process.
-    cache:
-        Optional :class:`ResultsCache`; hits skip the arm entirely.
-    metrics:
-        Optional :class:`repro.metrics.MetricsRegistry`. Serial arms run
-        fully instrumented (in-sim histograms accumulate across seeds);
-        process arms report per-chunk wall times only, since registries do
-        not cross the process boundary. Either way the study gains per-arm
-        timing, cache hit-rate gauges, and a :class:`RunManifest` on the
-        result. Custom ``runner`` callables used together with ``metrics``
-        must accept a ``metrics=`` keyword.
-    ledger, progress:
-        Optional :class:`repro.studies.StudyLedger` journal and streaming
-        per-job callback, threaded straight to
-        :func:`repro.studies.run_study`.
-    """
-    plan = compile_monte_carlo(seeds, base_config=base_config, hours=hours,
-                               runner=runner)
-    run = run_study(
-        plan.study,
-        executor=executor,
-        max_workers=max_workers,
-        task_timeout=task_timeout,
-        cache=cache,
-        metrics=metrics,
-        ledger=ledger,
-        progress=progress,
-        on_error="raise",
-    )
-    return plan.collect(run, metrics=metrics, executor=executor, cache=cache)

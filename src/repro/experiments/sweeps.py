@@ -4,8 +4,15 @@ A small framework for the design-space questions DESIGN.md raises: how do
 the precision bound and the measured steady-state precision move with the
 domain count, the synchronization interval, the validity threshold, or the
 aggregation function? Each sweep runs a short converged testbed per
-parameter value and extracts a compact row; the ablation benches and the
-CLI's ``sweep`` command print the assembled table.
+parameter value and extracts a compact row; the CLI's ``sweep`` command
+prints the assembled table.
+
+Every sweep here is a *compiler*: it returns a
+:class:`repro.studies.StudyPlan`, which runs through the one study
+scheduler::
+
+    plan = sweep_domain_count(values=(4, 5))
+    rows = plan.collect(run_study(plan.study, cache=ResultsCache()))
 """
 
 from __future__ import annotations
@@ -22,11 +29,11 @@ from repro.monitoring.invariants import (
     InvariantMonitor,
     InvariantSpec,
 )
-from repro.scenarios import ScenarioSpec, resolve_scenario
-from repro.parallel import ResultsCache, config_fingerprint
+from repro.scenarios import resolve_scenario
+from repro.parallel import config_fingerprint
 from repro.sim.timebase import MILLISECONDS, MINUTES, SECONDS
 from repro.studies.core import Job, Study, StudyPlan
-from repro.studies.runner import StudyRun, run_study
+from repro.studies.runner import StudyRun
 
 
 @dataclass(frozen=True)
@@ -110,11 +117,7 @@ def _run_sweep_point(
 
 
 def _sweep_cache_key(config: TestbedConfig, duration: int,
-                     warmup_records: int, fidelity: str = "full") -> str:
-    # Full-fidelity keys keep their historical shape so caches populated
-    # before the fidelity axis existed remain valid.
-    if fidelity == "full":
-        return config_fingerprint("sweep", config, duration, warmup_records)
+                     warmup_records: int, fidelity: str) -> str:
     return config_fingerprint(
         "sweep", config, duration, warmup_records, fidelity
     )
@@ -139,8 +142,9 @@ def compile_sweep(
 ) -> StudyPlan:
     """Compile a sweep into the study pipeline: one job per arm.
 
-    Job keys are the historical sweep cache keys, so caches populated
-    before the pipeline refactor keep hitting; the collector restores
+    Each arm is one testbed built from ``make_config(value)`` and run for
+    ``duration``; its job key covers the full config, so re-running with
+    one changed value recomputes only that arm. The collector restores
     the ``values``-ordered row list with parameter/value labels.
     """
     if not values:
@@ -179,54 +183,6 @@ def compile_sweep(
     return StudyPlan(study=study, collect=collect)
 
 
-def sweep(
-    parameter: str,
-    values: Sequence[Any],
-    make_config: Callable[[Any], TestbedConfig],
-    duration: int = 2 * MINUTES,
-    warmup_records: int = 30,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    cache: Optional[ResultsCache] = None,
-    metrics=None,
-    fidelity: str = "full",
-    ledger=None,
-    progress=None,
-    compile_only: bool = False,
-) -> List[SweepRow]:
-    """Generic sweep: build/run one testbed per value.
-
-    A thin compiler over the study pipeline (`repro.studies`):
-    ``executor="process"`` runs the arms on a
-    :class:`repro.parallel.WorkerPool` (results stay in ``values`` order);
-    a :class:`ResultsCache` skips arms whose configuration is unchanged
-    since a previous run, so tweaking one parameter value only recomputes
-    the new arms. With a ``metrics`` registry attached, serial arms run
-    fully instrumented and every arm contributes a timing sample; process
-    arms report per-chunk wall times (registries stay in-process). An
-    optional ``ledger``/``progress`` pair journals per-arm status for
-    resumable CLI studies; ``compile_only=True`` returns the
-    :class:`StudyPlan` without running anything.
-    """
-    plan = compile_sweep(parameter, values, make_config, duration=duration,
-                         warmup_records=warmup_records, fidelity=fidelity)
-    if compile_only:
-        return plan
-    run = run_study(
-        plan.study,
-        executor=executor,
-        max_workers=max_workers,
-        task_timeout=task_timeout,
-        cache=cache,
-        metrics=metrics,
-        ledger=ledger,
-        progress=progress,
-        on_error="raise",
-    )
-    return plan.collect(run)
-
-
 # ----------------------------------------------------------------------
 # Canned sweeps for the DESIGN.md design choices
 # ----------------------------------------------------------------------
@@ -235,7 +191,9 @@ def _base_config(scenario, seed: int) -> TestbedConfig:
 
     ``scenario`` takes a spec, a registered name, or a JSON path (anything
     :func:`repro.scenarios.resolve_scenario` accepts); each canned sweep
-    then varies exactly one axis off the anchor via ``dataclasses.replace``.
+    then varies exactly one axis off the anchor via ``dataclasses.replace``
+    and passes its other keywords (``duration``, ``warmup_records``,
+    ``fidelity``) to :func:`compile_sweep`.
     """
     if scenario is None:
         return TestbedConfig(seed=seed)
@@ -244,10 +202,10 @@ def _base_config(scenario, seed: int) -> TestbedConfig:
 
 def sweep_domain_count(
     values: Sequence[int] = (4, 5, 6), seed: int = 9, scenario=None, **kwargs
-) -> List[SweepRow]:
+) -> StudyPlan:
     """u(N, f) tightens the bound as domains are added."""
     base = _base_config(scenario, seed)
-    return sweep(
+    return compile_sweep(
         "n_domains",
         values,
         lambda n: replace(base, n_devices=n, n_domains=None),
@@ -258,10 +216,10 @@ def sweep_domain_count(
 def sweep_sync_interval(
     values_ms: Sequence[float] = (62.5, 125.0, 250.0), seed: int = 9,
     scenario=None, **kwargs
-) -> List[SweepRow]:
+) -> StudyPlan:
     """Γ = 2·r_max·S scales the bound with the interval."""
     base = _base_config(scenario, seed)
-    return sweep(
+    return compile_sweep(
         "sync_interval_ms",
         values_ms,
         lambda ms: replace(
@@ -280,10 +238,10 @@ def sweep_aggregation(
     seed: int = 9,
     scenario=None,
     **kwargs,
-) -> List[SweepRow]:
+) -> StudyPlan:
     """Fault-free steady state is similar across aggregation functions."""
     base = _base_config(scenario, seed)
-    return sweep(
+    return compile_sweep(
         "aggregation",
         values,
         lambda name: replace(
@@ -296,13 +254,13 @@ def sweep_aggregation(
 def sweep_validity_threshold(
     values_us: Sequence[float] = (1.0, 5.0, 20.0), seed: int = 9,
     scenario=None, **kwargs
-) -> List[SweepRow]:
+) -> StudyPlan:
     """Validity threshold: too tight rejects honest spread, too loose lets
     outliers in; steady state should tolerate the whole sensible range."""
     from repro.core.validity import ValidityConfig
 
     base = _base_config(scenario, seed)
-    return sweep(
+    return compile_sweep(
         "validity_threshold_us",
         values_us,
         lambda us: replace(
@@ -324,7 +282,7 @@ def sweep_topology(
     seed: int = 9,
     scenario=None,
     **kwargs,
-) -> List[SweepRow]:
+) -> StudyPlan:
     """Same N/M/f across shapes: E (the delay spread) drives the bound.
 
     The mesh keeps every VM one trunk hop from its GM; ring/line/star
@@ -332,7 +290,7 @@ def sweep_topology(
     and with it Π = u(N, f)·(E + Γ).
     """
     base = _base_config(scenario, seed)
-    return sweep(
+    return compile_sweep(
         "topology",
         values,
         lambda kind: replace(base, topology=kind),
@@ -343,7 +301,7 @@ def sweep_topology(
 def sweep_hop_count(
     values: Sequence[int] = (4, 5, 6, 7), seed: int = 9, scenario=None,
     **kwargs,
-) -> List[SweepRow]:
+) -> StudyPlan:
     """Precision vs. path length on a daisy chain (diameter = N − 1 trunks).
 
     ``values`` are device counts on a ``line`` topology; each extra device
@@ -351,7 +309,7 @@ def sweep_hop_count(
     floor is 4: with M = N domains and f = 1 the FTA needs M ≥ 3f + 1.
     """
     base = _base_config(scenario, seed)
-    return sweep(
+    return compile_sweep(
         "line_devices",
         values,
         lambda n: replace(base, topology="line", n_devices=n, n_domains=None),
@@ -364,7 +322,7 @@ def sweep_fault_budget(
     seed: int = 9,
     scenario=None,
     **kwargs,
-) -> List[SweepRow]:
+) -> StudyPlan:
     """FTA masking budget: (f, M) points at M = 3f+1 (tight) and 3f+2.
 
     u(N, f) = (N − 2f)/(N − 3f) blows up as M approaches the 3f+1 floor,
@@ -372,7 +330,7 @@ def sweep_fault_budget(
     M = 3f+2 neighbours.
     """
     base = _base_config(scenario, seed)
-    return sweep(
+    return compile_sweep(
         "(f, M)",
         list(values),
         lambda fm: replace(
@@ -391,7 +349,7 @@ def sweep_loss_rate(
     scenario=None,
     loss_start: int = 45 * SECONDS,
     **kwargs,
-) -> List[SweepRow]:
+) -> StudyPlan:
     """Per-link Bernoulli loss on every trunk vs. achieved precision.
 
     gPTP's per-interval Sync/FollowUp pairs mean a lost frame only delays
@@ -409,7 +367,7 @@ def sweep_loss_rate(
             return base
         return replace(base, chaos=single_loss_plan(loss, start=loss_start))
 
-    return sweep("loss_rate", values, cfg, **kwargs)
+    return compile_sweep("loss_rate", values, cfg, **kwargs)
 
 
 def sweep_attack_budget(
@@ -420,7 +378,7 @@ def sweep_attack_budget(
     margin: float = 0.8,
     duration: int = 15 * MINUTES,
     **kwargs,
-) -> List[SweepRow]:
+) -> StudyPlan:
     """Breaking point: colluding in-window GMs vs. the monitor's verdict.
 
     Each arm compromises ``k`` grandmasters with the worst-case adversary
@@ -465,7 +423,8 @@ def sweep_attack_budget(
             plan = merge_plans(base.chaos, plan)
         return replace(base, chaos=plan)
 
-    return sweep("colluders", values, cfg, duration=duration, **kwargs)
+    return compile_sweep("colluders", values, cfg, duration=duration,
+                         **kwargs)
 
 
 def breaking_point(rows: Sequence[SweepRow]) -> Dict[str, Optional[int]]:
@@ -657,11 +616,21 @@ def compile_envelope(
     attack_duration: int = 15 * MINUTES,
     fidelity: Optional[str] = None,
 ) -> StudyPlan:
-    """Compile the envelope sweep: one job per scenario arm (+ attack arm).
+    """Measured-vs-theoretical margin across the scenario registry.
 
-    Keys are the historical envelope cache keys; the collector returns the
-    rows in arm order (clean arms in ``scenarios`` order, then the attack
-    arm), as before the pipeline.
+    One clean arm per scenario, graded against its *predicted* envelope
+    (``bound_source="predicted"``): the measured worst-case precision must
+    stay inside the closed-form bound with positive margin. With
+    ``attack_check`` set, a final arm replays the breaking-point
+    adversary — ``attack_colluders`` in-window colluding GMs on the paper
+    mesh — and the envelope is expected to *catch* it (within=False, FAIL)
+    without any threshold retuning.
+
+    ``fidelity=None`` picks per arm: adaptive at and above 64 devices
+    (quiescent clean runs fast-forward soundly), full below and for the
+    attack arm (colluders are never quiescent). The collector returns the
+    rows in arm order: clean arms in ``scenarios`` order, then the attack
+    arm.
     """
     if fidelity is not None and fidelity not in ("full", "adaptive"):
         raise ValueError(f"unknown fidelity {fidelity!r}")
@@ -748,59 +717,6 @@ def compile_envelope(
         return run.collected()
 
     return StudyPlan(study=study, collect=collect)
-
-
-def sweep_envelope(
-    scenarios: Sequence[str] = ENVELOPE_SCENARIOS,
-    seed: int = 9,
-    duration: int = 2 * MINUTES,
-    warmup_records: int = 30,
-    attack_check: bool = True,
-    attack_colluders: int = 2,
-    attack_start: int = 60 * SECONDS,
-    attack_duration: int = 15 * MINUTES,
-    fidelity: Optional[str] = None,
-    cache: Optional[ResultsCache] = None,
-    metrics=None,
-    ledger=None,
-    progress=None,
-    compile_only: bool = False,
-) -> List[EnvelopeRow]:
-    """Measured-vs-theoretical margin across the scenario registry.
-
-    One clean arm per scenario, graded against its *predicted* envelope
-    (``bound_source="predicted"``): the measured worst-case precision must
-    stay inside the closed-form bound with positive margin. With
-    ``attack_check`` set, a final arm replays the PR-6 breaking-point
-    adversary — ``attack_colluders`` in-window colluding GMs on the paper
-    mesh — and the envelope is expected to *catch* it (within=False, FAIL)
-    without any threshold retuning.
-
-    ``fidelity=None`` picks per arm: adaptive at and above 64 devices
-    (quiescent clean runs fast-forward soundly), full below and for the
-    attack arm (colluders are never quiescent). Arms run serially —
-    they are few and heterogeneous, so a pool saves little — but the
-    study pipeline's :class:`ResultsCache` dedupe still skips unchanged
-    arms, and a ``ledger``/``progress`` pair journals per-arm status.
-    """
-    plan = compile_envelope(
-        scenarios, seed=seed, duration=duration,
-        warmup_records=warmup_records, attack_check=attack_check,
-        attack_colluders=attack_colluders, attack_start=attack_start,
-        attack_duration=attack_duration, fidelity=fidelity,
-    )
-    if compile_only:
-        return plan
-    run = run_study(
-        plan.study,
-        executor="serial",
-        cache=cache,
-        metrics=metrics,
-        ledger=ledger,
-        progress=progress,
-        on_error="raise",
-    )
-    return plan.collect(run)
 
 
 def envelope_verdict(rows: Sequence[EnvelopeRow]) -> str:

@@ -39,10 +39,9 @@ from repro.network.port import Port
 from repro.network.switch import TsnSwitch
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
-from repro._compat import SLOTTED
 
 
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class _RelayState:
     """Per (domain, sequence) relay bookkeeping."""
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 from repro.clocks.hardware_clock import HardwareClock
 from repro.gptp.domain import DomainConfig
 from repro.gptp.messages import (
-    Announce,
     FollowUp,
     PdelayReq,
     PdelayResp,
@@ -45,10 +44,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicTask
 from repro.sim.timebase import MILLISECONDS
 from repro.sim.trace import TraceLog
-from repro._compat import SLOTTED
 
 
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class OffsetSample:
     """One measured GM offset at one slave.
 
@@ -148,26 +146,6 @@ class Ptp4lInstance:
         if self._gm_task is not None:
             self._gm_task.stop()
         self._pending_sync.clear()
-
-    def set_master(self, is_master: bool) -> None:
-        """Switch the port role at runtime (BMCA-driven deployments).
-
-        The paper's experiments use external port configuration (static
-        roles); this hook lets the BMCA extension promote/demote an end
-        station when elections change.
-        """
-        if is_master == self.is_gm:
-            return
-        self.is_gm = is_master
-        if is_master:
-            self._pending_sync.clear()
-            if self._running:
-                self._ensure_gm_task()
-                if not self._gm_task.running:
-                    self._gm_task.start()
-        else:
-            if self._gm_task is not None and self._gm_task.running:
-                self._gm_task.stop()
 
     # ------------------------------------------------------------------
     # Grandmaster transmit path
@@ -286,7 +264,6 @@ class GptpStack:
         self.pdelay_responder = PdelayResponder(self.transport)
         self.pdelay_initiator = PdelayInitiator(sim, self.transport, rng)
         self.instances: Dict[int, Ptp4lInstance] = {}
-        self.announce_handler: Optional[Callable[[Announce, int], None]] = None
         self._started = False
         nic.attach_rx_handler(self._on_rx)
 
@@ -359,9 +336,6 @@ class GptpStack:
         elif isinstance(message, PdelayRespFollowUp):
             if message.requester == self.transport.name:
                 self.pdelay_initiator.on_response_follow_up(message)
-        elif isinstance(message, Announce):
-            if self.announce_handler is not None:
-                self.announce_handler(message, rx_ts)
 
     def __repr__(self) -> str:
         return f"GptpStack({self.nic.name!r}, domains={sorted(self.instances)})"

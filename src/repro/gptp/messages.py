@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._compat import SLOTTED
 
-
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class Sync:
     """Two-step Sync: an event message carrying no time of its own.
 
@@ -42,7 +40,7 @@ class Sync:
     gm_identity: str
 
 
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class FollowUp:
     """FollowUp for a two-step Sync.
 
@@ -69,7 +67,7 @@ class FollowUp:
     rate_ratio: float
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PdelayReq:
     """Peer-delay request (event message, timestamped both ends)."""
 
@@ -77,7 +75,7 @@ class PdelayReq:
     requester: str
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PdelayResp:
     """Peer-delay response, carrying the request's receipt time t2."""
 
@@ -87,7 +85,7 @@ class PdelayResp:
     request_receipt_timestamp: int
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PdelayRespFollowUp:
     """Peer-delay response follow-up, carrying the response's origin time t3."""
 
@@ -95,20 +93,3 @@ class PdelayRespFollowUp:
     requester: str
     responder: str
     response_origin_timestamp: int
-
-
-@dataclass(frozen=True, **SLOTTED)
-class Announce:
-    """Announce message (used only by the BMCA extension).
-
-    Field order mirrors the 802.1AS priority vector comparison.
-    """
-
-    domain: int
-    gm_identity: str
-    priority1: int
-    clock_class: int
-    clock_accuracy: int
-    variance: int
-    priority2: int
-    steps_removed: int

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro._compat import SLOTTED
 
 #: Link-local multicast used by IEEE 802.1AS. Frames to this address are
 #: never forwarded by bridges; each hop consumes and regenerates them.
@@ -21,7 +20,7 @@ GPTP_MULTICAST = "01:80:C2:00:00:0E"
 _packet_ids = itertools.count()
 
 
-@dataclass(**SLOTTED)
+@dataclass(slots=True)
 class Packet:
     """One frame in flight.
 

@@ -19,8 +19,8 @@ Integrity: entries are written inside a checksum envelope
 and verified on every read. A corrupt, truncated, or checksum-mismatched
 entry is *quarantined* — moved to ``<root>/quarantine/`` for forensics —
 and counted as a miss, so a bit flip or torn write costs one recompute,
-never a poisoned study. Pre-envelope entries (raw payloads) still read
-fine. ``repro cache verify`` sweeps the whole store offline.
+never a poisoned study. A document without the envelope is corrupt like
+any other. ``repro cache verify`` sweeps the whole store offline.
 """
 
 from __future__ import annotations
@@ -59,6 +59,36 @@ def _canonical_body(payload: Any) -> str:
     the decoded payload alone.
     """
     return json.dumps(payload, separators=(",", ":"))
+
+
+_INVALID = object()  # sentinel: a payload may legitimately be None
+
+
+def _read_verified(path: str) -> Any:
+    """The verified payload of the entry at ``path``.
+
+    Returns ``_INVALID`` for anything that fails verification: unreadable
+    or undecodable bytes, a document that is not a checksum envelope, or
+    a checksum mismatch. Raises ``FileNotFoundError`` for a missing entry.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise
+    except (ValueError, UnicodeDecodeError, OSError):
+        # ValueError covers JSONDecodeError; UnicodeDecodeError is listed
+        # explicitly because a bit-flipped byte can make the file invalid
+        # UTF-8, which must quarantine rather than escape the handler.
+        return _INVALID
+    if not (isinstance(doc, dict) and set(doc) == _ENVELOPE_KEYS):
+        return _INVALID
+    digest = hashlib.sha256(
+        _canonical_body(doc["payload"]).encode("utf-8")
+    ).hexdigest()
+    if digest != doc["sha256"]:
+        return _INVALID
+    return doc["payload"]
 
 
 def config_fingerprint(*parts: Any) -> str:
@@ -149,9 +179,9 @@ class ResultsCache:
         """Return the cached payload, or ``None`` on a miss.
 
         A corrupt entry — torn write, bit flip, invalid UTF-8, manual
-        edit, or a checksum mismatch against the envelope — is
-        quarantined to ``<root>/quarantine/`` and reported as a miss
-        rather than poisoning (or crashing) the study.
+        edit, a missing envelope, or a checksum mismatch against the
+        envelope — is quarantined to ``<root>/quarantine/`` and reported
+        as a miss rather than poisoning (or crashing) the study.
         """
         if self.disabled:
             # Still a miss: hit/miss accounting must stay meaningful (and
@@ -164,30 +194,14 @@ class ResultsCache:
             if point is not None:
                 self._faults.corrupt(point, path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            payload = _read_verified(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, UnicodeDecodeError, OSError):
-            # ValueError covers JSONDecodeError; UnicodeDecodeError is
-            # *not* a ValueError subclass path json.load reports — a
-            # bit-flipped byte can make the file invalid UTF-8 and used
-            # to escape this handler entirely (the pre-envelope bug).
+        if payload is _INVALID:
             self._quarantine(path)
             self.misses += 1
             return None
-        if isinstance(doc, dict) and set(doc) == _ENVELOPE_KEYS:
-            digest = hashlib.sha256(
-                _canonical_body(doc["payload"]).encode("utf-8")
-            ).hexdigest()
-            if digest != doc["sha256"]:
-                self._quarantine(path)
-                self.misses += 1
-                return None
-            payload = doc["payload"]
-        else:
-            payload = doc  # pre-envelope entry: accepted unverified
         self.hits += 1
         return payload
 
@@ -387,34 +401,24 @@ def verify_store(root: str = DEFAULT_CACHE_DIR) -> Dict[str, int]:
     Re-reads every entry, recomputes the envelope checksum, and
     quarantines anything unreadable or mismatched — the same healing
     :meth:`ResultsCache.get` applies lazily, applied eagerly to the
-    whole store. Pre-envelope (legacy) entries are counted but left in
-    place: they carry no checksum to verify against.
+    whole store.
 
-    Returns ``{"scanned", "ok", "legacy", "quarantined"}``.
+    Returns ``{"scanned", "ok", "quarantined"}``.
     """
     cache = ResultsCache(root)
-    scanned = ok = legacy = 0
+    scanned = ok = 0
     for path, _, _ in list(_iter_entries(root)):
         scanned += 1
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (ValueError, UnicodeDecodeError, OSError):
-            cache._quarantine(path)
+            payload = _read_verified(path)
+        except FileNotFoundError:
             continue
-        if isinstance(doc, dict) and set(doc) == _ENVELOPE_KEYS:
-            digest = hashlib.sha256(
-                _canonical_body(doc["payload"]).encode("utf-8")
-            ).hexdigest()
-            if digest != doc["sha256"]:
-                cache._quarantine(path)
-            else:
-                ok += 1
+        if payload is _INVALID:
+            cache._quarantine(path)
         else:
-            legacy += 1
+            ok += 1
     return {
         "scanned": scanned,
         "ok": ok,
-        "legacy": legacy,
         "quarantined": cache.quarantined,
     }

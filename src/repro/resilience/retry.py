@@ -65,17 +65,6 @@ class RetryPolicy:
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
-    @classmethod
-    def from_retries(cls, retries: int) -> "RetryPolicy":
-        """Map the legacy ``WorkerPool(retries=N)`` knob: N extra
-        attempts, no backoff."""
-        return cls(max_attempts=retries + 1)
-
-    @property
-    def retries(self) -> int:
-        """Extra attempts after the first (the legacy knob)."""
-        return self.max_attempts - 1
-
     def delay_s(self, index: int, attempt: int) -> float:
         """Seconds to wait before retry ``attempt`` (1-based) of task
         ``index``. Deterministic for a fixed seed."""

@@ -1,13 +1,19 @@
-"""Resumable submit → schedule → collect study pipeline (ROADMAP item 2).
+"""Resumable submit → schedule → collect study pipeline.
 
-Every experiment runner — ``run_monte_carlo``, the ten ``sweep_*``
-studies, the envelope sweep, and the chaos/campaign studies — compiles its
-arms into a frozen, fingerprinted :class:`Study` of content-addressed
-:class:`Job`\\ s, schedules them with :func:`run_study` (dedupe against the
-``.repro_cache/`` job-result store, serial or :class:`WorkerPool`
-execution, an atomic on-disk :class:`StudyLedger` journal), and collects
-results in submission order into its historical result type — so fixed
-seeds stay byte-identical while any study becomes idempotent,
+Every multi-arm study — ``compile_monte_carlo``, the canned ``sweep_*``
+axes and :func:`~repro.experiments.sweeps.compile_sweep`,
+``compile_envelope``, and ``compile_chaos_study`` — compiles its arms into
+a :class:`StudyPlan`: a frozen, fingerprinted :class:`Study` of
+content-addressed :class:`Job`\\ s plus a collector. :func:`run_study` is
+the one runner (dedupe against the ``.repro_cache/`` job-result store,
+serial or :class:`WorkerPool` execution, an atomic on-disk
+:class:`StudyLedger` journal), and ``plan.collect`` folds the results in
+submission order into the study's result type::
+
+    plan = compile_monte_carlo(seeds=[1, 2, 3], hours=0.1)
+    result = plan.collect(run_study(plan.study, cache=ResultsCache()))
+
+Fixed seeds stay byte-identical while any study becomes idempotent,
 deduplicated, and resumable after a worker or host kill.
 
 CLI: ``repro study run|status|resume`` (see :mod:`repro.studies.specs`

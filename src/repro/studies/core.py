@@ -4,15 +4,15 @@ A :class:`Job` is one schedulable unit of work — a module-level function
 plus its arguments, identified by a *content-addressed key* (the same
 SHA-256 configuration fingerprint the results cache uses). A
 :class:`Study` is a frozen, ordered set of jobs compiled by an experiment
-runner (Monte-Carlo seeds, sweep arms, envelope arms, chaos runs), with
+compiler (Monte-Carlo seeds, sweep arms, envelope arms, chaos runs), with
 the parent-side codecs needed to round-trip each job's result through the
 ``.repro_cache/`` job-result store.
 
-The split is the submit → schedule → collect pipeline from ROADMAP item 2:
+The split is the submit → schedule → collect pipeline:
 
-* **submit** — an experiment *compiles* its arms into a ``Study``
-  (:func:`repro.experiments.montecarlo.run_monte_carlo` and friends all
-  accept ``compile_only=True`` to expose their compiler);
+* **submit** — an experiment *compiles* its arms into a
+  :class:`StudyPlan` (:func:`repro.experiments.montecarlo.compile_monte_carlo`,
+  the ``sweep_*`` axes, ``compile_envelope``, ``compile_chaos_study``);
 * **schedule** — :func:`repro.studies.runner.run_study` dedupes against
   the content-addressed store and runs the remainder on the existing
   :class:`repro.parallel.WorkerPool`, journaling progress in a

@@ -1,8 +1,7 @@
 """The study scheduler: dedupe, execute, journal, collect.
 
-``run_study`` is the single submit → schedule → collect engine every
-experiment runner now rides (Monte-Carlo, all sweeps, the envelope and
-chaos/campaign studies):
+``run_study`` is the one runner for every compiled multi-arm study
+(Monte-Carlo, all sweeps, the envelope and chaos/campaign studies):
 
 1. **Dedupe** — each job's content-addressed key is looked up in the
    :class:`repro.parallel.ResultsCache` job-result store; hits are
@@ -15,7 +14,7 @@ chaos/campaign studies):
    study loses at most the arms in flight.
 3. **Collect** — results are returned keyed by job in submission order;
    the compiler's ``collect`` closure folds them into the experiment's
-   native result type, byte-identical to the historical serial runners.
+   native result type, byte-identical between executors.
 """
 
 from __future__ import annotations
@@ -119,8 +118,8 @@ def run_study(
     Parameters
     ----------
     executor, max_workers, task_timeout:
-        Same semantics as the historical runners: ``"serial"`` in-process,
-        ``"process"`` via :class:`WorkerPool` with per-chunk timeout and
+        ``"serial"`` in-process, or ``"process"`` via :class:`WorkerPool`
+        on ``max_workers`` workers with a per-chunk timeout and
         retry-once-on-crash.
     cache:
         The content-addressed job-result store. Hits skip arms entirely;
@@ -141,8 +140,8 @@ def run_study(
         mark the run ``interrupted`` — the deliberate-interrupt hook the
         resume tests and the CI smoke use.
     on_error:
-        ``"raise"`` (library default) re-raises the first job error after
-        flushing the ledger — matching the historical fail-fast runners.
+        ``"raise"`` (the default) re-raises the first job error after
+        flushing the ledger.
         ``"continue"`` marks the job ``failed`` and keeps going, so one
         bad arm cannot sink a multi-hour study. ``"quarantine"`` parks a
         job that failed every allowed attempt as ``quarantined`` in the

@@ -1,13 +1,15 @@
 """JSON study specs: declarative inputs for ``repro-sim study run``.
 
 A spec is a small JSON document naming a study *kind* plus its knobs; it
-compiles — through the exact same compiler the library entry points use —
+compiles — through the same ``compile_*`` functions library callers use —
 into a :class:`repro.studies.StudyPlan`, so a spec-driven CLI study is
-byte-identical to the equivalent ``run_monte_carlo`` / ``sweep_*`` /
-``sweep_envelope`` / ``run_chaos_study`` call. The spec is embedded in the
-study ledger verbatim, which is what makes ``repro study resume LEDGER``
-self-contained: the ledger alone recompiles the job set, and the
-fingerprint check proves it is the *same* job set.
+byte-identical to the equivalent ``compile_monte_carlo`` / ``sweep_*`` /
+``compile_envelope`` / ``compile_chaos_study`` plan run through
+:func:`repro.studies.run_study`. The ``sweep``/``montecarlo`` CLI commands
+build a spec from their flags and take the same path. The spec is
+embedded in the study ledger verbatim, which is what makes ``repro study
+resume LEDGER`` self-contained: the ledger alone recompiles the job set,
+and the fingerprint check proves it is the *same* job set.
 
 Kinds and their fields (all durations in seconds of simulated time):
 
@@ -30,7 +32,7 @@ Kinds and their fields (all durations in seconds of simulated time):
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.sim.timebase import SECONDS
 from repro.studies.core import StudyPlan
@@ -39,10 +41,18 @@ SPEC_SCHEMA_VERSION = 1
 
 KINDS = ("montecarlo", "sweep", "envelope", "chaos")
 
-#: Canned sweep axes whose ``values`` parameter goes by another name.
-_SWEEP_VALUES_PARAM = {
-    "interval": "values_ms",
-    "threshold": "values_us",
+#: The canned sweep axes: CLI/spec name → (compiler in
+#: :mod:`repro.experiments.sweeps`, name of its ``values`` parameter).
+SWEEP_AXES = {
+    "domains": ("sweep_domain_count", "values"),
+    "interval": ("sweep_sync_interval", "values_ms"),
+    "aggregation": ("sweep_aggregation", "values"),
+    "threshold": ("sweep_validity_threshold", "values_us"),
+    "topology": ("sweep_topology", "values"),
+    "hopcount": ("sweep_hop_count", "values"),
+    "faultbudget": ("sweep_fault_budget", "values"),
+    "lossrate": ("sweep_loss_rate", "values"),
+    "attackbudget": ("sweep_attack_budget", "values"),
 }
 
 
@@ -80,7 +90,20 @@ def spec_name(spec: Dict[str, Any]) -> str:
     return str(spec["kind"])
 
 
-def _duration_ns(spec: Dict[str, Any], default_s: float) -> int:
+def duration_ns(spec: Dict[str, Any]) -> int:
+    """Simulated duration per arm: ``duration_s``, or the kind's default.
+
+    The attackbudget FAIL needs minutes of differential-bias integration
+    (k=2 on the paper mesh breaks the bound at t ≈ 800 s), so that axis
+    defaults to 900 s; the other sweeps and the envelope measure steady
+    state over 120 s, and chaos arms run 480 s.
+    """
+    if spec["kind"] == "chaos":
+        default_s = 480.0
+    elif spec["kind"] == "sweep" and spec.get("study") == "attackbudget":
+        default_s = 900.0
+    else:
+        default_s = 120.0
     return round(float(spec.get("duration_s", default_s)) * SECONDS)
 
 
@@ -109,32 +132,20 @@ def _plan_montecarlo(spec: Dict[str, Any]) -> StudyPlan:
 
 
 def _plan_sweep(spec: Dict[str, Any]) -> StudyPlan:
-    from repro.experiments import sweeps as sw
+    from repro.experiments import sweeps
 
-    runners = {
-        "domains": sw.sweep_domain_count,
-        "interval": sw.sweep_sync_interval,
-        "aggregation": sw.sweep_aggregation,
-        "threshold": sw.sweep_validity_threshold,
-        "topology": sw.sweep_topology,
-        "hopcount": sw.sweep_hop_count,
-        "faultbudget": sw.sweep_fault_budget,
-        "lossrate": sw.sweep_loss_rate,
-        "attackbudget": sw.sweep_attack_budget,
-    }
     study = spec.get("study")
-    if study not in runners:
+    if study not in SWEEP_AXES:
         raise ValueError(
             f"unknown sweep study {study!r} "
-            f"(expected one of {', '.join(sorted(runners))})"
+            f"(expected one of {', '.join(sorted(SWEEP_AXES))})"
         )
-    default_s = 900.0 if study == "attackbudget" else 120.0
+    compiler, values_param = SWEEP_AXES[study]
     kwargs: Dict[str, Any] = {
         "seed": int(spec.get("seed", 9)),
-        "duration": _duration_ns(spec, default_s),
+        "duration": duration_ns(spec),
         "scenario": spec.get("scenario"),
         "fidelity": spec.get("fidelity", "full"),
-        "compile_only": True,
     }
     if "warmup_records" in spec:
         kwargs["warmup_records"] = int(spec["warmup_records"])
@@ -143,32 +154,31 @@ def _plan_sweep(spec: Dict[str, Any]) -> StudyPlan:
         if study == "faultbudget":
             # (f, M) pairs arrive as JSON arrays; the axis wants tuples.
             values = [tuple(v) for v in values]
-        kwargs[_SWEEP_VALUES_PARAM.get(study, "values")] = values
-    return runners[study](**kwargs)
+        kwargs[values_param] = values
+    return getattr(sweeps, compiler)(**kwargs)
 
 
 def _plan_envelope(spec: Dict[str, Any]) -> StudyPlan:
-    from repro.experiments.sweeps import ENVELOPE_SCENARIOS, sweep_envelope
+    from repro.experiments.sweeps import ENVELOPE_SCENARIOS, compile_envelope
 
     kwargs: Dict[str, Any] = {
         "scenarios": tuple(spec.get("scenarios", ENVELOPE_SCENARIOS)),
         "seed": int(spec.get("seed", 9)),
-        "duration": _duration_ns(spec, 120.0),
+        "duration": duration_ns(spec),
         "attack_check": bool(spec.get("attack_check", True)),
         "attack_colluders": int(spec.get("attack_colluders", 2)),
-        "compile_only": True,
     }
     if "warmup_records" in spec:
         kwargs["warmup_records"] = int(spec["warmup_records"])
     if spec.get("fidelity"):
         kwargs["fidelity"] = spec["fidelity"]
-    return sweep_envelope(**kwargs)
+    return compile_envelope(**kwargs)
 
 
 def _plan_chaos(spec: Dict[str, Any]) -> StudyPlan:
     from repro.experiments.chaos import (
         ChaosExperimentConfig,
-        run_chaos_study,
+        compile_chaos_study,
     )
 
     scenario = None
@@ -212,7 +222,7 @@ def _plan_chaos(spec: Dict[str, Any]) -> StudyPlan:
         )
     configs = [
         ChaosExperimentConfig(
-            duration=_duration_ns(spec, 480.0),
+            duration=duration_ns(spec),
             seed=int(seed),
             scenario=scenario,
             plan=plan,
@@ -221,7 +231,7 @@ def _plan_chaos(spec: Dict[str, Any]) -> StudyPlan:
         )
         for seed in spec.get("seeds", [1])
     ]
-    return run_chaos_study(configs, compile_only=True)
+    return compile_chaos_study(configs)
 
 
 _PLANNERS = {
@@ -345,8 +355,3 @@ def render_run(spec: Dict[str, Any], plan: StudyPlan, run) -> str:
         )
     return "\n".join(lines)
 
-
-def collect_from_ledger(ledger) -> Optional[List[str]]:
-    """Convenience: unfinished keys of a loaded ledger (None if complete)."""
-    unfinished = ledger.unfinished()
-    return unfinished or None

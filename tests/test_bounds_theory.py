@@ -267,10 +267,11 @@ class TestEnvelopeCatchesCollusion:
         """k=2 > f=1 colluding GMs must cross the *predicted* envelope —
         the committed results/envelope_sweep.json acceptance arm, shrunk
         to a 5-minute window for the nightly tier."""
-        from repro.experiments.sweeps import envelope_verdict, sweep_envelope
+        from repro.experiments.sweeps import compile_envelope, envelope_verdict
         from repro.monitoring.invariants import FAIL, PASS
+        from repro.studies import run_study
 
-        rows = sweep_envelope(
+        plan = compile_envelope(
             scenarios=(),
             seed=9,
             attack_check=True,
@@ -278,6 +279,7 @@ class TestEnvelopeCatchesCollusion:
             attack_start=60 * SECONDS,
             attack_duration=5 * MINUTES,
         )
+        rows = plan.collect(run_study(plan.study))
         (row,) = rows
         assert row.attack == "collude-k2"
         assert row.within is False

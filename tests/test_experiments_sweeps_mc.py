@@ -2,26 +2,32 @@
 
 import pytest
 
-from repro.experiments.montecarlo import MonteCarloResult, SeedOutcome, run_monte_carlo
+from repro.experiments.montecarlo import compile_monte_carlo
 from repro.experiments.sweeps import (
     SweepRow,
+    compile_sweep,
     render_rows,
-    sweep,
     sweep_aggregation,
     sweep_domain_count,
     sweep_sync_interval,
 )
 from repro.experiments.testbed import TestbedConfig
 from repro.sim.timebase import MINUTES, SECONDS
+from repro.studies import run_study
+
+
+def run(plan, **kwargs):
+    """Schedule a compiled plan and collect its native result."""
+    return plan.collect(run_study(plan.study, **kwargs))
 
 
 class TestSweepFramework:
     def test_generic_sweep_shapes(self):
-        rows = sweep(
+        rows = run(compile_sweep(
             "seed", [1, 2],
             lambda s: TestbedConfig(seed=s),
             duration=90 * SECONDS, warmup_records=20,
-        )
+        ))
         assert len(rows) == 2
         assert all(r.parameter == "seed" for r in rows)
         assert all(r.converged for r in rows)
@@ -29,25 +35,27 @@ class TestSweepFramework:
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            sweep("x", [], lambda v: TestbedConfig())
+            compile_sweep("x", [], lambda v: TestbedConfig())
 
     def test_domain_count_sweep_tightens_bound_factor(self):
-        rows = sweep_domain_count(values=(4, 5), duration=90 * SECONDS,
-                                  warmup_records=20)
+        rows = run(sweep_domain_count(values=(4, 5), duration=90 * SECONDS,
+                                      warmup_records=20))
         # More domains: more GMs surveyed, but u-factor drops 2.0 -> 1.5;
         # both must converge inside their bounds.
         assert all(r.converged for r in rows)
         assert all(r.max_precision_ns < r.bound_ns for r in rows)
 
     def test_sync_interval_sweep_scales_gamma(self):
-        rows = sweep_sync_interval(values_ms=(62.5, 250.0),
-                                   duration=90 * SECONDS, warmup_records=20)
+        rows = run(sweep_sync_interval(values_ms=(62.5, 250.0),
+                                       duration=90 * SECONDS,
+                                       warmup_records=20))
         # Γ doubles with S: the 250ms bound exceeds the 62.5ms bound.
         assert rows[1].bound_ns > rows[0].bound_ns
 
     def test_aggregation_sweep_steady_state_similar(self):
-        rows = sweep_aggregation(values=("fta", "median"),
-                                 duration=90 * SECONDS, warmup_records=20)
+        rows = run(sweep_aggregation(values=("fta", "median"),
+                                     duration=90 * SECONDS,
+                                     warmup_records=20))
         avg = [r.avg_precision_ns for r in rows]
         assert max(avg) < 3 * min(avg)  # fault-free: no dramatic difference
 
@@ -67,7 +75,7 @@ class TestSweepFramework:
 class TestMonteCarlo:
     @pytest.fixture(scope="class")
     def study(self):
-        return run_monte_carlo(seeds=[101, 102, 103], hours=0.05)
+        return run(compile_monte_carlo(seeds=[101, 102, 103], hours=0.05))
 
     def test_one_outcome_per_seed(self, study):
         assert study.n == 3
@@ -93,4 +101,4 @@ class TestMonteCarlo:
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            run_monte_carlo(seeds=[])
+            compile_monte_carlo(seeds=[])

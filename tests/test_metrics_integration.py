@@ -10,8 +10,8 @@ RNG or scheduling state.
 import pytest
 
 from repro.analysis.report import render_metrics
-from repro.experiments.montecarlo import run_monte_carlo
-from repro.experiments.sweeps import sweep
+from repro.experiments.montecarlo import compile_monte_carlo
+from repro.experiments.sweeps import compile_sweep
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.metrics import (
     MetricsRegistry,
@@ -21,6 +21,7 @@ from repro.metrics import (
 )
 from repro.parallel import ResultsCache
 from repro.sim.timebase import SECONDS
+from repro.studies import run_study
 
 
 def _run(seed, metrics=None):
@@ -52,7 +53,9 @@ class TestPassiveObserver:
 class TestMonteCarloMetrics:
     def test_manifest_and_export_render(self, tmp_path):
         registry = MetricsRegistry()
-        study = run_monte_carlo(seeds=[5], hours=0.02, metrics=registry)
+        plan = compile_monte_carlo(seeds=[5], hours=0.02)
+        study = plan.collect(run_study(plan.study, metrics=registry),
+                             metrics=registry)
         manifest = study.manifest
         assert manifest is not None
         assert manifest.experiment == "monte_carlo"
@@ -72,19 +75,23 @@ class TestMonteCarloMetrics:
         assert "aggregator.offset_error_ns" in text
 
     def test_metrics_do_not_change_outcomes(self):
-        plain = run_monte_carlo(seeds=[5], hours=0.02)
-        observed = run_monte_carlo(seeds=[5], hours=0.02,
-                                   metrics=MetricsRegistry())
+        plan = compile_monte_carlo(seeds=[5], hours=0.02)
+        plain = plan.collect(run_study(plan.study))
+        observed = plan.collect(
+            run_study(plan.study, metrics=MetricsRegistry())
+        )
         assert observed.outcomes == plain.outcomes
 
 
 class TestCacheMetricsInteraction:
     def _sweep(self, cache, metrics):
-        return sweep(
+        plan = compile_sweep(
             "n_devices", [4],
             lambda n: TestbedConfig(seed=3, n_devices=n),
             duration=10 * SECONDS, warmup_records=0,
-            cache=cache, metrics=metrics,
+        )
+        return plan.collect(
+            run_study(plan.study, cache=cache, metrics=metrics)
         )
 
     def test_self_disabled_cache_still_exports_miss_counts(self, tmp_path):

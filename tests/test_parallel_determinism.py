@@ -11,26 +11,31 @@ import pickle
 
 import pytest
 
-from repro.experiments.montecarlo import run_monte_carlo
-from repro.experiments.sweeps import sweep
+from repro.experiments.montecarlo import compile_monte_carlo
+from repro.experiments.sweeps import compile_sweep
 from repro.experiments.testbed import TestbedConfig
 from repro.parallel import ResultsCache
 from repro.sim.timebase import SECONDS
+from repro.studies import run_study
 
 SEEDS = [401, 402, 403]
 HOURS = 0.005  # 432 s of simulated time per seed — seconds of wall clock
 
 
+def run(plan, **kwargs):
+    """Schedule a compiled plan and collect its native result."""
+    return plan.collect(run_study(plan.study, **kwargs))
+
+
 @pytest.fixture(scope="module")
 def serial_study():
-    return run_monte_carlo(seeds=SEEDS, hours=HOURS)
+    return run(compile_monte_carlo(seeds=SEEDS, hours=HOURS))
 
 
 @pytest.fixture(scope="module")
 def process_study():
-    return run_monte_carlo(
-        seeds=SEEDS, hours=HOURS, executor="process", max_workers=2
-    )
+    return run(compile_monte_carlo(seeds=SEEDS, hours=HOURS),
+               executor="process", max_workers=2)
 
 
 class TestMonteCarloDeterminism:
@@ -45,24 +50,24 @@ class TestMonteCarloDeterminism:
 
     def test_cache_replay_identical(self, serial_study, tmp_path):
         cache = ResultsCache(str(tmp_path))
-        cold = run_monte_carlo(seeds=SEEDS, hours=HOURS, cache=cache)
-        warm = run_monte_carlo(seeds=SEEDS, hours=HOURS, cache=cache)
+        cold = run(compile_monte_carlo(seeds=SEEDS, hours=HOURS), cache=cache)
+        warm = run(compile_monte_carlo(seeds=SEEDS, hours=HOURS), cache=cache)
         assert cold.outcomes == serial_study.outcomes
         assert warm.outcomes == serial_study.outcomes
         assert cache.hits == len(SEEDS)
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
-            run_monte_carlo(seeds=[1], executor="threads")
+            run_study(compile_monte_carlo(seeds=[1]).study,
+                      executor="threads")
 
 
 class TestSweepDeterminism:
     def test_process_sweep_matches_serial(self):
         values = (4, 5)
         make = lambda n: TestbedConfig(seed=7, n_devices=n)  # noqa: E731
-        serial = sweep("n_devices", values, make,
-                       duration=40 * SECONDS, warmup_records=5)
-        parallel = sweep("n_devices", values, make,
-                         duration=40 * SECONDS, warmup_records=5,
-                         executor="process", max_workers=2)
+        plan = compile_sweep("n_devices", values, make,
+                             duration=40 * SECONDS, warmup_records=5)
+        serial = run(plan)
+        parallel = run(plan, executor="process", max_workers=2)
         assert serial == parallel

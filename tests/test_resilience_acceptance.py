@@ -11,7 +11,7 @@ fault may ever make a study report success with missing or corrupt jobs.
 import pytest
 
 from tests import _study_helpers as helpers
-from repro.experiments.montecarlo import compile_monte_carlo, run_monte_carlo
+from repro.experiments.montecarlo import compile_monte_carlo
 from repro.parallel import ResultsCache, config_fingerprint
 from repro.resilience import (
     FaultInjector,
@@ -151,7 +151,8 @@ class TestFixedPlanAcceptance:
     HOURS = 0.02
 
     def test_smoke_plan_kill_and_heal(self, tmp_path):
-        baseline = run_monte_carlo(seeds=self.SEEDS, hours=self.HOURS)
+        clean = compile_monte_carlo(self.SEEDS, hours=self.HOURS)
+        baseline = clean.collect(run_study(clean.study))
         plan = load_fault_plan("examples/faultplans/smoke_torn_cache.json")
 
         cache = ResultsCache(str(tmp_path / "store"))

@@ -111,7 +111,6 @@ class TestBackoffAccounting:
 
         assert run_once() == run_once()
 
-    def test_legacy_retries_knob_still_works(self):
-        pool = WorkerPool(max_workers=1, retries=1)
-        assert pool.retries == 1
+    def test_default_policy_retries_once(self):
+        pool = WorkerPool(max_workers=1)
         assert pool.retry_policy.max_attempts == 2

@@ -705,9 +705,12 @@ class TestAttackBudgetSweep:
     def test_sweep_shape(self):
         from repro.experiments.sweeps import sweep_attack_budget
 
-        rows = sweep_attack_budget(
+        from repro.studies import run_study
+
+        plan = sweep_attack_budget(
             values=(0, 1), seed=5, duration=10 * SECONDS, warmup_records=0,
         )
+        rows = plan.collect(run_study(plan.study))
         assert [r.value for r in rows] == [0, 1]
         assert all(r.parameter == "colluders" for r in rows)
 
@@ -727,8 +730,11 @@ class TestAttackBudgetSweep:
         """
         from repro.experiments.sweeps import breaking_point, sweep_attack_budget
 
-        rows = sweep_attack_budget(values=(1, 2), seed=9,
+        from repro.studies import run_study
+
+        plan = sweep_attack_budget(values=(1, 2), seed=9,
                                    duration=15 * MINUTES)
+        rows = plan.collect(run_study(plan.study))
         by_k = {r.value: r.verdict for r in rows}
         assert by_k[1] == PASS
         assert by_k[2] == FAIL

@@ -344,27 +344,31 @@ class TestCacheSelfDisableSurfacing:
         assert ledger.stats["cache_disabled"] is True
 
     def test_montecarlo_manifest_surfaces_cache_disabled(self, tmp_path):
-        from repro.experiments.montecarlo import run_monte_carlo
+        from repro.experiments.montecarlo import compile_monte_carlo
         from repro.metrics import MetricsRegistry
 
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")
         cache = ResultsCache(str(blocker))
         registry = MetricsRegistry()
+        plan = compile_monte_carlo(seeds=[5], hours=0.01)
         with pytest.warns(RuntimeWarning, match="caching disabled"):
-            result = run_monte_carlo(seeds=[5], hours=0.01, cache=cache,
-                                     metrics=registry)
+            run = run_study(plan.study, cache=cache, metrics=registry)
+        result = plan.collect(run, metrics=registry, cache=cache)
         assert result.manifest.extra["cache_disabled"] is True
         assert registry.counters["cache.disable_events"].value == 1
 
     def test_healthy_cache_reports_not_disabled(self, tmp_path):
-        from repro.experiments.montecarlo import run_monte_carlo
+        from repro.experiments.montecarlo import compile_monte_carlo
         from repro.metrics import MetricsRegistry
 
         cache = ResultsCache(str(tmp_path / "store"))
         registry = MetricsRegistry()
-        result = run_monte_carlo(seeds=[5], hours=0.01, cache=cache,
-                                 metrics=registry)
+        plan = compile_monte_carlo(seeds=[5], hours=0.01)
+        result = plan.collect(
+            run_study(plan.study, cache=cache, metrics=registry),
+            metrics=registry, cache=cache,
+        )
         assert result.manifest.extra["cache_disabled"] is False
         assert "cache.disable_events" not in registry.counters
 

@@ -9,7 +9,7 @@ to an uninterrupted run.
 
 import pytest
 
-from repro.experiments.montecarlo import compile_monte_carlo, run_monte_carlo
+from repro.experiments.montecarlo import compile_monte_carlo
 from repro.parallel import ResultsCache
 from repro.studies import (
     DONE,
@@ -26,7 +26,8 @@ HOURS = 0.02
 @pytest.fixture(scope="module")
 def baseline():
     """The uninterrupted run every resumed run must reproduce exactly."""
-    return run_monte_carlo(seeds=SEEDS, hours=HOURS)
+    plan = compile_monte_carlo(SEEDS, hours=HOURS)
+    return plan.collect(run_study(plan.study))
 
 
 class TestInterruptedThenResumed:
@@ -97,18 +98,20 @@ class TestInterruptedThenResumed:
         result = plan2.collect(resumed)
         assert repr(result.outcomes) == repr(baseline.outcomes)
 
-    def test_run_monte_carlo_entry_point_resumes(self, tmp_path, baseline):
-        """The public runner itself honours ledger + store on resume."""
+    def test_recompiled_plan_resumes_from_ledger_and_store(self, tmp_path,
+                                                           baseline):
+        """A freshly compiled plan run against the same ledger + store
+        serves the finished jobs from the store."""
         cache = ResultsCache(str(tmp_path / "store"))
         ledger_path = str(tmp_path / "ledger.json")
         plan = compile_monte_carlo(SEEDS, hours=HOURS)
         ledger = StudyLedger.for_study(plan.study, path=ledger_path)
         run_study(plan.study, cache=cache, ledger=ledger, max_jobs=2)
 
-        ledger2 = StudyLedger.for_study(
-            compile_monte_carlo(SEEDS, hours=HOURS).study, path=ledger_path
+        plan2 = compile_monte_carlo(SEEDS, hours=HOURS)
+        ledger2 = StudyLedger.for_study(plan2.study, path=ledger_path)
+        result = plan2.collect(
+            run_study(plan2.study, cache=cache, ledger=ledger2)
         )
-        result = run_monte_carlo(seeds=SEEDS, hours=HOURS, cache=cache,
-                                 ledger=ledger2)
         assert repr(result.outcomes) == repr(baseline.outcomes)
         assert cache.hits == 2
