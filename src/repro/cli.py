@@ -708,6 +708,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     from repro.resilience import InjectedCrash
     from repro.studies import (
         LedgerCorruptError,
+        LedgerMismatchError,
         StudyInterrupted,
         StudyLedger,
         run_study,
@@ -724,7 +725,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if args.action == "status":
         try:
             ledger = StudyLedger.load(args.ledger)
-        except LedgerCorruptError as exc:
+        except (LedgerCorruptError, LedgerMismatchError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
         _emit(args, ledger.describe(), ledger.to_dict())
@@ -743,6 +744,9 @@ def cmd_study(args: argparse.Namespace) -> int:
         ledger = None
         try:
             loaded = StudyLedger.load(args.ledger, faults=faults)
+        except LedgerMismatchError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         except LedgerCorruptError as exc:
             if not getattr(args, "salvage", False):
                 print(str(exc), file=sys.stderr)

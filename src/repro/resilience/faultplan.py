@@ -13,7 +13,7 @@ Seams (see EXPERIMENTS.md "Infra failure model" for the full table):
 
 ``cache.get``     read of one job-result store entry
 ``cache.put``     atomic write of one store entry
-``ledger.flush``  atomic write of the study ledger
+``ledger.flush``  append to, or compaction of, the study journal
 ``ledger.load``   read of the study ledger
 ``worker.exec``   launch of one WorkerPool worker attempt
 ``job.fn``        in-process execution of one job (serial executor)

@@ -1,14 +1,17 @@
-"""Ledger salvage: recover a resumable study from a torn ledger file.
+"""Ledger salvage: recover a resumable study from a corrupt ledger file.
 
-A kill during a ledger flush on a filesystem without atomic rename (or a
-torn write injected by a fault plan) can leave ``*.ledger.json``
-truncated mid-document. The ledger's ``to_dict`` deliberately orders the
-small identity fields (``study``, ``fingerprint``, ``cache_dir``,
-``spec``) *before* the large ``jobs`` map, so a torn tail almost always
-still contains the full embedded spec — enough to recompile the exact
-study and rebuild a fresh all-pending ledger. The job-result store then
-does the rest: ``run_study``'s dedupe stage re-reads every finished job
-from ``.repro_cache/`` by content-addressed key, so salvage loses no
+The ledger is a snapshot line followed by an append-only transition log.
+A torn *tail* never needs salvage — ``StudyLedger.load`` drops a partial
+or CRC-failing last line. What still needs it is a damaged snapshot
+(truncated or bit-rotted on a filesystem without atomic rename, or by a
+fault plan's ``torn_write`` / ``bit_flip``) or a bad line in the middle
+of the log. The snapshot deliberately writes the small identity fields
+(``study``, ``fingerprint``, ``cache_dir``, ``spec``) *before* the large
+``jobs`` map, so a torn snapshot almost always still contains the full
+embedded spec — enough to recompile the exact study and rebuild a fresh
+all-pending ledger. The job-result store then does the rest:
+``run_study``'s dedupe stage re-reads every finished job from
+``.repro_cache/`` by content-addressed key, so salvage loses no
 completed work, only the journal's bookkeeping.
 
 Surfaced as ``repro-sim study resume LEDGER --salvage``; the corrupt

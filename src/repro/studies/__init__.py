@@ -6,7 +6,7 @@ axes and :func:`~repro.experiments.sweeps.compile_sweep`,
 a :class:`StudyPlan`: a frozen, fingerprinted :class:`Study` of
 content-addressed :class:`Job`\\ s plus a collector. :func:`run_study` is
 the one runner (dedupe against the ``.repro_cache/`` job-result store,
-serial or :class:`WorkerPool` execution, an atomic on-disk
+serial or :class:`WorkerPool` execution, an append-only on-disk
 :class:`StudyLedger` journal), and ``plan.collect`` folds the results in
 submission order into the study's result type::
 

@@ -1,18 +1,39 @@
 """The study ledger: on-disk per-job status journal for resumable studies.
 
-One JSON document per study run (atomic tmp + rename on every flush, like
-the results cache) recording the study identity, the original study spec
-(so ``repro study resume`` can recompile the exact same job set), and one
-entry per job: status (``pending`` / ``running`` / ``done`` / ``failed``),
-attempt count, wall seconds, the compact result summary (verdict and
-headline figures), and the job's content-addressed result key — which *is*
-the manifest ref into the ``.repro_cache/`` job-result store.
+One file per study run, in two parts (schema 2):
 
-Resume semantics: the ledger never stores results, only refs. A killed
-study leaves ``done`` jobs in the cache under their keys; resuming
-recompiles the study (fingerprints must match), re-reads finished jobs
-from the store, and re-submits only unfinished ones. Jobs stuck in
-``running`` (the worker died mid-arm) simply miss the cache and re-run.
+* **Line 1, the snapshot.** A compact JSON document with the study
+  identity (``study``, ``fingerprint``, ``cache_dir``, the original study
+  ``spec`` so ``repro study resume`` can recompile the exact same job
+  set, ``created_at``) written *before* ``stats``, ``order`` and ``jobs``,
+  so a torn snapshot still yields the spec to
+  :mod:`repro.resilience.salvage`.
+* **Every later line, one transition.** The full :class:`JobEntry` of one
+  job after a status change (status ``pending`` / ``running`` / ``done``
+  / ``failed`` / ``quarantined``, attempt count, wall seconds, the
+  compact result summary, error), as compact JSON carrying a ``crc32`` of
+  its own payload.
+
+:meth:`StudyLedger.mark` / :meth:`~StudyLedger.mark_many` append their
+transitions with one write + flush per call, so journaling costs the
+same at job 10,000 as at job 1 and a process kill loses at most the line
+being written. :meth:`StudyLedger.save` is *compaction*: it folds the
+log into a fresh snapshot (tmp → ``fsync`` → ``os.replace`` →
+``fsync(dir)``, durable across a power loss). It runs on the first write
+of a new ledger and when ``run_study`` finalizes, so a finished study's
+ledger is a single snapshot line.
+
+:meth:`StudyLedger.load` replays the transitions over the snapshot. A
+partial or CRC-failing *last* line is a torn append and is dropped; any
+other bad line raises :class:`LedgerCorruptError`.
+
+Resume semantics: the ledger never stores results, only refs (a job's
+key *is* its manifest ref into the ``.repro_cache/`` job-result store).
+A killed study leaves ``done`` jobs in the cache under their keys;
+resuming recompiles the study (fingerprints must match), re-reads
+finished jobs from the store, and re-submits only unfinished ones. Jobs
+stuck in ``running`` (the worker died mid-arm) and transitions lost
+with a torn tail simply go back through the store lookup.
 """
 
 from __future__ import annotations
@@ -21,12 +42,13 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+import zlib
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.studies.core import Study
 
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 
 PENDING = "pending"
 RUNNING = "running"
@@ -38,6 +60,8 @@ FAILED = "failed"
 QUARANTINED = "quarantined"
 
 _STATUSES = (PENDING, RUNNING, DONE, FAILED, QUARANTINED)
+
+_COMPACT = (",", ":")
 
 
 @dataclass
@@ -77,11 +101,42 @@ class LedgerCorruptError(RuntimeError):
         self.reason = reason
 
 
+def _transition_line(entry: JobEntry) -> str:
+    """One journal line: the entry as compact JSON plus the CRC-32 of
+    exactly that JSON text."""
+    payload = json.dumps(vars(entry), separators=_COMPACT)
+    crc = zlib.crc32(payload.encode("utf-8"))
+    return f'{payload[:-1]},"crc32":{crc}}}\n'
+
+
+def _parse_transition(line: bytes) -> Optional[Dict[str, Any]]:
+    """The entry fields of one journal line, or ``None`` when the line is
+    torn or fails its CRC."""
+    try:
+        doc = json.loads(line.decode("utf-8"))
+        crc = doc.pop("crc32")
+    except (ValueError, KeyError, AttributeError, TypeError):
+        return None
+    payload = json.dumps(doc, separators=_COMPACT).encode("utf-8")
+    if crc != zlib.crc32(payload):
+        return None
+    return doc
+
+
+def _fsync_dir(directory: str) -> None:
+    """Make a rename in ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class StudyLedger:
-    """Ordered job journal with atomic persistence.
+    """Ordered job journal: a snapshot plus an append-only transition log.
 
     ``path=None`` keeps the ledger purely in memory (library callers that
-    only want bookkeeping); ``save()`` is then a no-op.
+    only want bookkeeping); writes are then no-ops.
     """
 
     def __init__(
@@ -102,11 +157,19 @@ class StudyLedger:
         self.entries: Dict[str, JobEntry] = {}
         self.order: List[str] = []
         self.stats: Dict[str, Any] = {}
+        #: Wall seconds spent writing the file (appends and compactions).
+        self.write_s = 0.0
+        #: True while the file at ``path`` holds exactly this object's
+        #: journal, so transitions may be appended to it. False (a new
+        #: ledger, a dropped torn tail, a failed or corrupted write) makes
+        #: the next write a compaction instead.
+        self._appendable = False
         self._faults = None
 
     def attach_faults(self, injector) -> None:
-        """Attach (or with ``None``, detach) a fault injector; the hook in
-        :meth:`save` is a single ``is not None`` check when detached."""
+        """Attach (or with ``None``, detach) a fault injector; the
+        ``ledger.flush`` hook on every write is a single ``is not None``
+        check when detached."""
         self._faults = injector
 
     # ------------------------------------------------------------------
@@ -136,6 +199,11 @@ class StudyLedger:
                     f"{study.fingerprint()[:12]}; delete the ledger or fix "
                     "the spec"
                 )
+            if ((spec is not None and spec != ledger.spec)
+                    or (cache_dir is not None
+                        and cache_dir != ledger.cache_dir)):
+                # Only a snapshot carries these: compact on first write.
+                ledger._appendable = False
             if spec is not None:
                 ledger.spec = spec
             if cache_dir is not None:
@@ -152,12 +220,14 @@ class StudyLedger:
 
     @classmethod
     def load(cls, path: str, faults=None) -> "StudyLedger":
-        """Parse the on-disk journal.
+        """Read the snapshot and replay the transition log over it.
 
-        A torn or corrupt file raises :class:`LedgerCorruptError` (naming
-        the salvage command) instead of leaking a raw
-        ``JSONDecodeError``; a missing file still raises
-        ``FileNotFoundError``. ``faults`` optionally injects
+        A torn last line is dropped (its transition is recovered by the
+        store lookup on resume). Any other damage raises
+        :class:`LedgerCorruptError` naming the salvage command, instead
+        of leaking a raw ``JSONDecodeError``; a missing file still raises
+        ``FileNotFoundError``, and a ledger of another schema raises
+        :class:`LedgerMismatchError`. ``faults`` optionally injects
         ``ledger.load`` faults before the read.
         """
         if faults is not None:
@@ -165,19 +235,32 @@ class StudyLedger:
             if point is not None:
                 faults.corrupt(point, path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             raise
-        except (ValueError, UnicodeDecodeError, OSError) as exc:
+        except OSError as exc:
             raise LedgerCorruptError(path, f"unreadable: {exc}") from exc
+        head, newline, log = data.partition(b"\n")
+        try:
+            doc = json.loads(head.decode("utf-8"))
+        except ValueError as exc:
+            # Not a one-line snapshot: a schema-1 (whole-file) ledger,
+            # rejected by version below, or a torn snapshot.
+            try:
+                doc = json.loads(data.decode("utf-8"))
+            except ValueError:
+                raise LedgerCorruptError(path, f"unreadable: {exc}") from exc
+            newline = log = b""
         if not isinstance(doc, dict):
             raise LedgerCorruptError(path, "not a JSON object")
         version = doc.get("schema_version")
         if version != LEDGER_SCHEMA_VERSION:
             raise LedgerMismatchError(
                 f"ledger {path!r} has schema {version!r}, expected "
-                f"{LEDGER_SCHEMA_VERSION}"
+                f"{LEDGER_SCHEMA_VERSION}; move it aside and re-run "
+                "`study run SPEC` — finished jobs are served from the "
+                "result store"
             )
         try:
             ledger = cls(
@@ -191,20 +274,57 @@ class StudyLedger:
             ledger.updated_at = doc.get("updated_at", ledger.updated_at)
             ledger.stats = dict(doc.get("stats", {}))
             for key in doc.get("order", []):
-                entry_doc = doc["jobs"][key]
-                ledger.entries[key] = JobEntry(**entry_doc)
+                ledger.entries[key] = JobEntry(**doc["jobs"][key])
                 ledger.order.append(key)
         except (KeyError, TypeError) as exc:
             raise LedgerCorruptError(
                 path, f"missing or malformed field: {exc}"
             ) from exc
+        complete = ledger._replay(log)
+        ledger._appendable = complete and newline == b"\n"
         return ledger
+
+    def _replay(self, log: bytes) -> bool:
+        """Apply the transition log in order; True when it ends on a
+        complete line."""
+        lines = log.split(b"\n")
+        complete = lines[-1] == b""
+        if complete:
+            lines.pop()
+        for index, line in enumerate(lines):
+            number = index + 2  # 1-based, after the snapshot line
+            fields = _parse_transition(line)
+            if fields is None:
+                if index == len(lines) - 1:
+                    return False  # torn tail: drop it
+                raise LedgerCorruptError(
+                    self.path, f"journal line {number} is torn or fails "
+                    "its CRC"
+                )
+            key = fields.get("key")
+            if key not in self.entries:
+                raise LedgerCorruptError(
+                    self.path, f"journal line {number} names unknown job "
+                    f"{key!r}"
+                )
+            if fields.get("status") not in _STATUSES:
+                raise LedgerCorruptError(
+                    self.path, f"journal line {number} has unknown status "
+                    f"{fields.get('status')!r}"
+                )
+            try:
+                self.entries[key] = JobEntry(**fields)
+            except TypeError as exc:
+                raise LedgerCorruptError(
+                    self.path, f"journal line {number}: {exc}"
+                ) from exc
+        return complete
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def mark(self, key: str, status: str, save: bool = True, **fields: Any) -> None:
-        """Transition one job and (by default) flush the journal."""
+        """Transition one job and (by default) journal it."""
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
         entry = self.entries[key]
@@ -214,13 +334,35 @@ class StudyLedger:
         for name, value in fields.items():
             setattr(entry, name, value)
         if save:
-            self.save()
+            self.journal([key])
 
     def mark_many(self, keys: List[str], status: str, **fields: Any) -> None:
-        """Transition a batch (one flush), e.g. a dispatched worker chunk."""
+        """Transition a batch (one write), e.g. a dispatched worker chunk."""
         for key in keys:
             self.mark(key, status, save=False, **fields)
-        self.save()
+        self.journal(keys)
+
+    def journal(self, keys: List[str]) -> None:
+        """Append the current entries of ``keys`` with one write + flush.
+
+        The first write of a new ledger, or the next one after a failed
+        or corrupted write, is a :meth:`save` instead.
+        """
+        if self.path is None:
+            return
+        if not self._appendable:
+            self.save()
+            return
+        start = time.perf_counter()
+        fault_point = self._pre_write()
+        text = "".join(_transition_line(self.entries[key]) for key in keys)
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError:
+            self._appendable = False
+            raise
+        self._post_write(fault_point, start)
 
     # ------------------------------------------------------------------
     # Queries
@@ -244,33 +386,40 @@ class StudyLedger:
     # Persistence
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
+        """The snapshot document (identity fields before the jobs)."""
         return {
             "schema_version": LEDGER_SCHEMA_VERSION,
             "study": self.study_name,
             "fingerprint": self.fingerprint,
-            "created_at": self.created_at,
-            "updated_at": self.updated_at,
             "cache_dir": self.cache_dir,
             "spec": self.spec,
+            "created_at": self.created_at,
+            "updated_at": self.updated_at,
             "stats": dict(self.stats),
             "order": list(self.order),
-            "jobs": {key: asdict(self.entries[key]) for key in self.order},
+            "jobs": {key: dict(vars(self.entries[key]))
+                     for key in self.order},
         }
 
     def save(self) -> None:
-        """Atomic flush (tmp + rename); in-memory ledgers are a no-op."""
+        """Compaction: replace the file with a one-line snapshot of the
+        current state (tmp, ``fsync``, rename, ``fsync`` of the directory).
+        In-memory ledgers are a no-op."""
         if self.path is None:
             return
-        fault_point = None
-        if self._faults is not None:
-            fault_point = self._faults.pre_op("ledger.flush")
+        start = time.perf_counter()
+        fault_point = self._pre_write()
         self.updated_at = time.time()
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        self._appendable = False
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(), fh, indent=1)
+                fh.write(json.dumps(self.to_dict(), separators=_COMPACT))
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, self.path)
         except OSError:
             try:
@@ -278,8 +427,23 @@ class StudyLedger:
             except OSError:
                 pass
             raise
+        _fsync_dir(directory)
+        self._appendable = True
+        self._post_write(fault_point, start)
+
+    def _pre_write(self):
+        """The ``ledger.flush`` seam, once per write."""
+        if self._faults is None:
+            return None
+        return self._faults.pre_op("ledger.flush")
+
+    def _post_write(self, fault_point, start: float) -> None:
         if fault_point is not None:
             self._faults.corrupt(fault_point, self.path)
+            # The damage outlives the run only if the process dies
+            # before its next write, which compacts.
+            self._appendable = False
+        self.write_s += time.perf_counter() - start
 
     def describe(self) -> str:
         """Status block for ``repro study status``."""
@@ -299,6 +463,12 @@ class StudyLedger:
             lines.append(
                 "  last run: "
                 + " ".join(f"{k}={v}" for k, v in resilience.items())
+            )
+        phases = self.stats.get("phase_s")
+        if phases:
+            lines.append(
+                "  phases: "
+                + " ".join(f"{k}={v:.3f}s" for k, v in phases.items())
             )
         for key in self.order:
             entry = self.entries[key]

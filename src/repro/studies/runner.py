@@ -10,11 +10,18 @@
    a metrics registry is attached) or sharded across the existing
    :class:`repro.parallel.WorkerPool` in ``default_chunk_size`` chunks.
    Every fresh result is written to the store and journaled in the
-   :class:`repro.studies.ledger.StudyLedger` *immediately*, so a killed
-   study loses at most the arms in flight.
+   :class:`repro.studies.ledger.StudyLedger` *immediately* (one append
+   per transition, one per landed worker chunk), so a killed study loses
+   at most the arms in flight.
 3. **Collect** — results are returned keyed by job in submission order;
    the compiler's ``collect`` closure folds them into the experiment's
    native result type, byte-identical between executors.
+
+Each call times its phases into ``StudyRun.phase_s`` (and the ledger's
+``stats["phase_s"]``, shown by ``repro study status``): ``dedupe``,
+``execute``, ``store`` (encode + ``cache.put``), ``journal`` (ledger
+writes) and ``finalize``. They are exclusive, so they add up to the
+call's wall time.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ from repro.studies.ledger import (
     RUNNING,
     StudyLedger,
 )
+
+
+#: The phases ``run_study`` times, in pipeline order.
+PHASES = ("dedupe", "execute", "store", "journal", "finalize")
 
 
 class StudyInterrupted(KeyboardInterrupt):
@@ -75,6 +86,11 @@ class StudyRun:
     backoff_s: float = 0.0
     #: True when the WorkerPool fell back to inline execution.
     pool_degraded: bool = False
+    #: Wall seconds per phase (see :data:`PHASES`), exclusive of each
+    #: other.
+    phase_s: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0)
+    )
     ledger: Optional[StudyLedger] = None
 
     @property
@@ -129,8 +145,9 @@ def run_study(
         studies record per-chunk wall times, and cache hit/miss/disabled
         gauges are exported either way.
     ledger:
-        Optional :class:`StudyLedger`; every status transition is flushed
-        atomically, making the study resumable after a kill.
+        Optional :class:`StudyLedger`; every status transition is
+        appended to its journal, making the study resumable after a kill,
+        and the journal is compacted when the run ends.
     progress:
         Callback receiving one dict per completed job
         (``{"index", "total", "label", "status", "source", "wall_s",
@@ -188,17 +205,25 @@ def run_study(
                 "error": error,
             })
 
-    def record_done(job: Job, result: Any, source: str, wall_s=None) -> None:
+    def record_done(job: Job, result: Any, source: str, wall_s=None,
+                    journal: bool = True) -> None:
         run.results[job.key] = result
         info = study.summarize(result) if study.summarize else None
         if ledger is not None:
-            ledger.mark(job.key, DONE, source=source, wall_s=wall_s,
-                        info=info)
+            ledger.mark(job.key, DONE, save=journal, source=source,
+                        wall_s=wall_s, info=info)
         emit(job, DONE, source, wall_s=wall_s, info=info)
+
+    clock = time.perf_counter
+    phase = run.phase_s
+
+    def journal_s() -> float:
+        return ledger.write_s if ledger is not None else 0.0
 
     # ------------------------------------------------------------------
     # Dedupe: satisfy what the job-result store already holds.
     # ------------------------------------------------------------------
+    start, journal_start = clock(), journal_s()
     to_run: List[Job] = []
     for job in study.jobs:
         payload = cache.get(job.key) if cache is not None else None
@@ -211,12 +236,22 @@ def run_study(
     if max_jobs is not None and len(to_run) > max_jobs:
         to_run = to_run[:max_jobs]
         run.interrupted = True
+    dedupe_end, dedupe_journal = clock(), journal_s()
+    phase["dedupe"] = (dedupe_end - start) - (dedupe_journal - journal_start)
 
     def store(job: Job, result: Any) -> None:
         run.results[job.key] = result
         run.executed.append(job.key)
         if cache is not None:
+            put_start = clock()
             cache.put(job.key, study.encode(result))
+            phase["store"] += clock() - put_start
+
+    def end_execute() -> None:
+        phase["execute"] = ((clock() - dedupe_end)
+                            - (journal_s() - dedupe_journal)
+                            - phase["store"])
+        phase["journal"] = journal_s() - journal_start
 
     # ------------------------------------------------------------------
     # Execute the remainder.
@@ -231,9 +266,11 @@ def run_study(
                         record_done, emit, on_error, faults, retry_policy)
     except KeyboardInterrupt:
         run.interrupted = True
+        end_execute()
         _finalize(run, cache, metrics, ledger)
         raise StudyInterrupted(run) from None
 
+    end_execute()
     _finalize(run, cache, metrics, ledger)
     return run
 
@@ -306,10 +343,13 @@ def _run_process(study, to_run, run, max_workers, task_timeout, metrics,
 
     def on_chunk_done(index: int, results: List[Any]) -> None:
         # Parent-side, invoked the moment a chunk lands: persist and
-        # journal immediately so a later kill loses only in-flight arms.
+        # journal immediately (one append for the chunk) so a later kill
+        # loses only in-flight arms.
         for job, result in zip(chunks[index], results):
             store(job, result)
-            record_done(job, result, "executed")
+            record_done(job, result, "executed", journal=False)
+        if ledger is not None:
+            ledger.journal([job.key for job in chunks[index]])
 
     _, errors = pool.map_partial(
         [TaskSpec(fn=_run_job_chunk, args=(c,)) for c in chunks],
@@ -345,7 +385,12 @@ def _record_failure(run, job, exc, ledger, emit, quarantine=False) -> None:
 
 
 def _finalize(run: StudyRun, cache, metrics, ledger) -> None:
-    """Export cache gauges, persist store stats, flush the ledger."""
+    """Export cache gauges, persist store stats, compact the ledger.
+
+    The ledger's ``stats["phase_s"]["finalize"]`` stops short of the
+    compaction that writes it; ``run.phase_s["finalize"]`` includes it.
+    """
+    start = time.perf_counter()
     if metrics is not None and cache is not None:
         lookups = cache.hits + cache.misses
         metrics.gauge("cache.hits").set(cache.hits)
@@ -383,5 +428,8 @@ def _finalize(run: StudyRun, cache, metrics, ledger) -> None:
             "cache_quarantined": int(
                 getattr(cache, "quarantined", 0) if cache is not None else 0
             ),
+            "phase_s": dict(run.phase_s,
+                            finalize=time.perf_counter() - start),
         }
         ledger.save()
+    run.phase_s["finalize"] = time.perf_counter() - start

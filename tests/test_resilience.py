@@ -1,19 +1,22 @@
 """Units for the infra fault-injection layer and the healing it proves.
 
 Covers the fault-plan schema (round trip + validation), injector
-determinism, the RetryPolicy's seeded backoff, and the two satellite
-bugfix regressions: a corrupt cache entry must be a quarantined miss
-(never an exception), and a torn ledger must raise a clear
-``LedgerCorruptError`` naming the salvage command (never a raw
-``JSONDecodeError``).
+determinism, the RetryPolicy's seeded backoff, and the healing
+regressions: a corrupt cache entry must be a quarantined miss (never an
+exception), a torn ledger must raise a clear ``LedgerCorruptError``
+naming the salvage command (never a raw ``JSONDecodeError``), and the
+ledger journal's failure modes (torn tail dropped, any other bad line
+corrupt, compaction fsynced).
 """
 
 import json
 import os
+import stat
 
 import pytest
 
 from tests import _study_helpers as helpers
+from repro.cli import main
 from repro.metrics import MetricsRegistry
 from repro.parallel import (
     QUARANTINE_DIRNAME,
@@ -39,13 +42,18 @@ from repro.resilience.salvage import (
     salvage_study,
 )
 from repro.studies import (
-    Job,
-    LedgerCorruptError,
+    DONE,
     QUARANTINED,
+    RUNNING,
+    Job,
+    JobEntry,
+    LedgerCorruptError,
+    LedgerMismatchError,
     Study,
     StudyLedger,
     run_study,
 )
+from repro.studies.ledger import _transition_line
 
 
 def _study(values, fn=helpers.double, name="unit", **job_kwargs):
@@ -450,6 +458,156 @@ class TestLedgerCorruption:
             fh.write('{"study": "x", "jobs"')
         with pytest.raises(LedgerSalvageError, match="did not survive"):
             salvage_study(path)
+
+
+class TestLedgerJournal:
+    """The append-only journal: a torn tail is dropped, every other bad
+    line is corruption, and compaction is durable."""
+
+    def _journal(self, tmp_path, values=(1, 2)):
+        """A snapshot line plus three appended transitions."""
+        study = _study(list(values))
+        path = str(tmp_path / "study.ledger.json")
+        ledger = StudyLedger.for_study(study, path=path)
+        first, second = (job.key for job in study.jobs[:2])
+        ledger.mark(first, RUNNING)  # no file yet: writes the snapshot
+        ledger.mark(first, DONE, source="executed", wall_s=0.5)
+        ledger.mark(second, RUNNING)
+        ledger.mark(second, DONE, source="executed", wall_s=0.25)
+        return study, path
+
+    def _lines(self, path):
+        with open(path, "rb") as fh:
+            return fh.read().split(b"\n")
+
+    def _write(self, path, lines):
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+
+    def test_replay_restores_every_transition(self, tmp_path):
+        study, path = self._journal(tmp_path)
+        assert len(self._lines(path)) == 5  # snapshot + 3 lines + ""
+        loaded = StudyLedger.load(path)
+        assert loaded.complete
+        assert loaded.entries[study.jobs[1].key].wall_s == 0.25
+        assert loaded.entries[study.jobs[1].key].attempts == 1
+
+    def test_torn_last_line_is_dropped(self, tmp_path):
+        study, path = self._journal(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 7)
+        loaded = StudyLedger.load(path)
+        assert loaded.entries[study.jobs[1].key].status == RUNNING
+        # The next write compacts instead of appending after the tear.
+        loaded.mark(study.jobs[1].key, DONE)
+        assert len(self._lines(path)) == 2
+        assert StudyLedger.load(path).complete
+
+    def test_crc_failing_middle_line_raises(self, tmp_path):
+        _, path = self._journal(tmp_path)
+        lines = self._lines(path)
+        lines[1] = lines[1].replace(b'"wall_s":0.5', b'"wall_s":0.7')
+        self._write(path, lines)
+        with pytest.raises(LedgerCorruptError, match="line 2.*--salvage"):
+            StudyLedger.load(path)
+
+    def test_crc_failing_last_line_is_dropped(self, tmp_path):
+        study, path = self._journal(tmp_path)
+        lines = self._lines(path)
+        lines[3] = lines[3].replace(b'"wall_s":0.25', b'"wall_s":0.75')
+        self._write(path, lines)
+        loaded = StudyLedger.load(path)
+        assert loaded.entries[study.jobs[1].key].status == RUNNING
+
+    def test_transition_for_unknown_job_raises(self, tmp_path):
+        _, path = self._journal(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(_transition_line(JobEntry(key="not-in-the-header",
+                                               status=DONE)))
+        with pytest.raises(LedgerCorruptError, match="unknown job"):
+            StudyLedger.load(path)
+
+    def test_transition_with_unknown_status_raises(self, tmp_path):
+        study, path = self._journal(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(_transition_line(JobEntry(key=study.jobs[0].key,
+                                               status="exploded")))
+        with pytest.raises(LedgerCorruptError, match="unknown status"):
+            StudyLedger.load(path)
+
+    def test_schema_1_ledger_is_a_mismatch(self, tmp_path, capsys):
+        path = str(tmp_path / "old.ledger.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": 1, "study": "unit",
+                       "fingerprint": "f" * 64, "order": [], "jobs": {}},
+                      fh, indent=1)
+        with pytest.raises(LedgerMismatchError, match="study run SPEC"):
+            StudyLedger.load(path)
+        assert main(["study", "status", path]) == 2
+        assert "result store" in capsys.readouterr().err
+
+    def test_compaction_fsyncs_file_and_directory(self, tmp_path,
+                                                  monkeypatch):
+        """Pre-fix, save() renamed an unsynced tmp file over the ledger
+        and never synced the directory: a power loss could leave an empty
+        ledger with its embedded spec gone."""
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                          else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        study = _study([1, 2])
+        ledger = StudyLedger.for_study(study,
+                                       path=str(tmp_path / "l.json"))
+        ledger.save()
+        assert synced == ["file", "dir"]
+        ledger.save()
+        assert synced == ["file", "dir"] * 2
+        ledger.mark(study.jobs[0].key, DONE)  # an append: no fsync
+        assert len(synced) == 4
+
+        synced.clear()
+        in_memory = StudyLedger.for_study(study)
+        in_memory.save()
+        in_memory.mark(study.jobs[0].key, DONE)
+        assert synced == []
+
+    def test_torn_tail_of_killed_study_resumes(self, tmp_path, capsys):
+        """A study stopped by max_jobs, resumed, and killed again while
+        journaling: the torn last line costs nothing but a store lookup."""
+        spec = tmp_path / "study.json"
+        spec.write_text(json.dumps({
+            "kind": "montecarlo", "name": "torn-tail",
+            "seeds": [1, 21, 42], "hours": 0.02,
+        }))
+        cache_dir = str(tmp_path / "store")
+        ledger = str(tmp_path / "study.ledger.json")
+        assert main(["study", "run", str(spec), "--cache-dir", cache_dir,
+                     "--max-jobs", "1"]) == 3
+        plan = tmp_path / "kill.json"
+        dump_fault_plan(_plan(FaultPoint(seam="job.fn", mode="crash",
+                                         trigger_calls=(2,))), str(plan))
+        assert main(["study", "resume", ledger,
+                     "--fault-plan", str(plan)]) == 4
+        # The killed resume appended job 2's transitions and job 3's
+        # RUNNING mark after the snapshot; tear inside that last line.
+        with open(ledger, "r+b") as fh:
+            fh.truncate(os.path.getsize(ledger) - 10)
+        capsys.readouterr()
+
+        assert main(["study", "status", ledger]) == 1
+        out = capsys.readouterr().out
+        assert "done=2" in out and "pending=1" in out
+
+        assert main(["study", "resume", ledger, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["complete"] is True
+        assert payload["cached"] == 2 and payload["executed"] == 1
+        assert len(self._lines(ledger)) == 2  # compacted to one snapshot
 
 
 # ----------------------------------------------------------------------

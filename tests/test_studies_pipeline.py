@@ -12,6 +12,7 @@ from repro.parallel import (
     TaskCrashError,
     cache_stats,
     config_fingerprint,
+    default_chunk_size,
     prune_cache,
 )
 from repro.studies import (
@@ -188,6 +189,79 @@ class TestProcessExecutor:
         assert resumed.cached == ["ok-1"]       # never recomputed
         assert resumed.executed == ["dies"]
         assert resumed.collected() == [2, 4]
+
+
+    def test_landed_chunk_is_journaled_as_one_batch(self, tmp_path,
+                                                    monkeypatch):
+        batches = []
+        journal = StudyLedger.journal
+
+        def spy(ledger, keys):
+            batches.append(len(keys))
+            journal(ledger, keys)
+
+        monkeypatch.setattr(StudyLedger, "journal", spy)
+        study = _study([1, 2, 3, 4, 5, 6])
+        ledger = StudyLedger.for_study(study,
+                                       path=str(tmp_path / "ledger.json"))
+        run = run_study(study, executor="process", max_workers=2,
+                        ledger=ledger)
+        assert run.complete
+        chunk = default_chunk_size(6, 2)
+        chunks = [min(chunk, 6 - i) for i in range(0, 6, chunk)]
+        # One write for the dispatch (RUNNING), then one per landed chunk.
+        assert batches[0] == 6
+        assert sorted(batches[1:]) == sorted(chunks)
+        assert StudyLedger.load(ledger.path).complete
+
+
+class TestLedgerScaling:
+    """The journal's cost per job must not grow with the study: a
+    transition is an append, and the whole-file rewrite (compaction)
+    happens a fixed number of times per run."""
+
+    def test_saves_per_run_do_not_grow_with_jobs(self, tmp_path,
+                                                 monkeypatch):
+        saves = []
+        save = StudyLedger.save
+
+        def counting(ledger):
+            saves.append(ledger.path)
+            save(ledger)
+
+        monkeypatch.setattr(StudyLedger, "save", counting)
+        bytes_per_job = {}
+        for n in (100, 2000):
+            study = _study(range(n), name=f"scale-{n}")
+            path = str(tmp_path / f"{n}.ledger.json")
+            for _ in range(2):  # a fresh ledger, then an adopted one
+                saves.clear()
+                run = run_study(study, ledger=StudyLedger.for_study(
+                    study, path=path))
+                assert run.complete and len(saves) <= 2
+            bytes_per_job[n] = os.path.getsize(path) / n
+        assert bytes_per_job[2000] == pytest.approx(bytes_per_job[100],
+                                                    rel=0.10)
+
+    @pytest.mark.slow
+    def test_per_job_overhead_flat_from_100_to_10k_jobs(self, tmp_path):
+        def overhead_s(n):
+            """Best of three: ledger run minus bare run, per job."""
+            study = _study(range(n), name=f"flat-{n}")
+            best = float("inf")
+            for attempt in range(3):
+                start = time.perf_counter()
+                run_study(study)
+                bare = time.perf_counter() - start
+                ledger = StudyLedger.for_study(
+                    study, path=str(tmp_path / f"{n}-{attempt}.json"))
+                start = time.perf_counter()
+                run_study(study, ledger=ledger)
+                journaled = time.perf_counter() - start
+                best = min(best, (journaled - bare) / n)
+            return best
+
+        assert overhead_s(10_000) <= 2 * overhead_s(100)
 
 
 class TestLedger:
